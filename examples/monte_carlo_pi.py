@@ -21,8 +21,9 @@ import time
 
 import numpy as np
 
+from repro.knobs import ENV_RANK
 from repro.mpi import init, ops
-from repro.mpi.world import ENV_RANK, run_on_threads
+from repro.mpi.world import run_on_threads
 
 
 def local_hits(samples: int, seed: int) -> int:

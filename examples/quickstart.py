@@ -19,8 +19,9 @@ import os
 from repro.core import Options, get_benchmark
 from repro.core.output import print_table
 from repro.core.runner import BenchContext
+from repro.knobs import ENV_RANK
 from repro.mpi import init
-from repro.mpi.world import ENV_RANK, run_on_threads
+from repro.mpi.world import run_on_threads
 
 OPTS = Options(min_size=1, max_size=65536, iterations=50, warmup=5)
 

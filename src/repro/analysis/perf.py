@@ -2,7 +2,8 @@
 
 The OMB-Py paper attributes most of Python/MPI's overhead to avoidable
 object copies and pickle-path serialization on the critical send/recv
-path; our own ``BENCH_telemetry.json`` shows the hot path is copy-bound.
+path; our own yardstick (``perf/README.md``: ``datapath.peak_copies_1m``,
+``native.snapshot_us_1m``/``fill_us_1m``) prices those copies on this runtime.
 These rules find that overhead *statically*, before a benchmark runs,
 using the whole-program facts from :mod:`repro.analysis.interproc`:
 

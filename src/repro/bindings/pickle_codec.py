@@ -9,10 +9,11 @@ benchmarks can report serialization overhead directly.
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 from typing import Any
+
+from ..knobs import PICKLE_PROTOCOL, read
 
 
 class PickleCodec:
@@ -20,14 +21,8 @@ class PickleCodec:
 
     def __init__(self, protocol: int | None = None) -> None:
         if protocol is None:
-            env = os.environ.get("OMBPY_PICKLE_PROTOCOL")
-            protocol = int(env) if env else pickle.HIGHEST_PROTOCOL
-        if not 0 <= protocol <= pickle.HIGHEST_PROTOCOL:
-            raise ValueError(
-                f"pickle protocol {protocol} outside "
-                f"[0, {pickle.HIGHEST_PROTOCOL}]"
-            )
-        self.protocol = protocol
+            protocol = read(PICKLE_PROTOCOL)
+        self.protocol = PICKLE_PROTOCOL.check(protocol, what="pickle protocol")
         self._lock = threading.Lock()
         self.dumps_calls = 0
         self.loads_calls = 0

@@ -23,8 +23,8 @@ Pieces:
   ``ombpy-run``) execution backends behind one interface;
 * :mod:`.store` — the merged results store (JSONL + CSV export) and
   the campaign manifest;
-* :mod:`.gate` — the regression gate against prior ``BENCH_*.json``
-  snapshots;
+* :mod:`.gate` — the regression gate against a prior campaign's
+  ``results.jsonl``;
 * :mod:`.cli` — ``ombpy-campaign run | resume | status | report``.
 
 See ``docs/campaign.md`` for the full format and semantics.

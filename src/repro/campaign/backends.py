@@ -9,7 +9,8 @@ must keep the campaign alive through hung, crashing, and OOMing cells.
   ``ombpy-serve`` rank pool, reusing its admission control and
   per-job deadlines (``docs/service.md``); a warm submit skips process
   spawn + rendezvous + import per cell, which is where campaign
-  throughput comes from (``BENCH_campaign.json``).
+  throughput comes from (``perf/``: workload ``sweep_warm_16c`` against
+  the layer metric ``campaign.cold_cells_per_s``).
 * :class:`ColdLaunchBackend` runs each cell as a supervised subprocess:
   ``ombpy --threads`` for the in-process fabric, or ``ombpy-run`` for
   the tcp/uds/shm transports with ``--exit-report`` so the failure

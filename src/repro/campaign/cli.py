@@ -108,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--csv", default=None, metavar="FILE",
                           help="export the flattened results store to FILE")
     p_report.add_argument("--gate", default=None, metavar="BASELINE",
-                          help="regression-gate against a BENCH_*.json "
-                          "snapshot or a prior results.jsonl")
+                          help="regression-gate against a prior "
+                          "campaign's results.jsonl")
     p_report.add_argument("--gate-threshold", type=float,
                           default=gate_mod.DEFAULT_THRESHOLD,
                           help="mean slowdown that fails the gate "

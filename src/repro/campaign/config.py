@@ -1,150 +1,33 @@
-"""Campaign tuning knobs: the ``OMBPY_CAMPAIGN_*`` environment.
+"""Campaign configuration: the ``OMBPY_CAMPAIGN_*`` knobs as one object.
 
-Same conventions as the service knobs (``OMBPY_SERVICE_*``, see
-:mod:`repro.service.config`) and the resilience knobs (``OMBPY_HB_*``,
-``OMBPY_REL_*``): every knob has a safe default, is read once at driver
-start, and a malformed value fails fast with an error naming the
-variable and the accepted range — a campaign must not come up
-half-configured and discover it hours into a sweep.
-
-| variable | default | meaning |
-|---|---|---|
-| ``OMBPY_CAMPAIGN_CONCURRENCY``      | 2      | cells executed concurrently |
-| ``OMBPY_CAMPAIGN_CELL_TIMEOUT_S``   | 120.0  | per-cell wall-clock timeout, seconds |
-| ``OMBPY_CAMPAIGN_RETRY_MAX``        | 2      | retries per cell within one driver run |
-| ``OMBPY_CAMPAIGN_RETRY_BACKOFF_MS`` | 250.0  | initial retry backoff; doubles per attempt, capped at 10 s |
-| ``OMBPY_CAMPAIGN_QUARANTINE_AFTER`` | 3      | cumulative (journaled) failures before a cell is quarantined |
-
-The matching ``ombpy-campaign`` flags override the environment.
+Every field is one row of :mod:`repro.knobs` (default, range, unit);
+``docs/campaign.md`` has the user-facing table.  The values are read
+once at driver start and a malformed one fails fast naming the
+variable — a campaign must not come up half-configured and discover it
+hours into a sweep.  The matching ``ombpy-campaign`` flags win over the
+environment.
 """
 
 from __future__ import annotations
 
-import os
-import random
 from dataclasses import dataclass
 
-ENV_CONCURRENCY = "OMBPY_CAMPAIGN_CONCURRENCY"
-ENV_CELL_TIMEOUT = "OMBPY_CAMPAIGN_CELL_TIMEOUT_S"
-ENV_RETRY_MAX = "OMBPY_CAMPAIGN_RETRY_MAX"
-ENV_RETRY_BACKOFF = "OMBPY_CAMPAIGN_RETRY_BACKOFF_MS"
-ENV_QUARANTINE_AFTER = "OMBPY_CAMPAIGN_QUARANTINE_AFTER"
+from .. import knobs
 
-#: Retry backoff ceiling: ``backoff = min(CAP, base * 2**(attempt-1))``.
+#: Ceiling of the cell-retry backoff (see :func:`repro.backoff.backoff_s`).
 RETRY_BACKOFF_CAP_S = 10.0
-
-
-def _env_int(name: str, default: int, minimum: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be an integer >= {minimum}, got {raw!r}"
-        ) from None
-    if value < minimum:
-        raise ValueError(
-            f"{name} must be an integer >= {minimum}, got {value}"
-        )
-    return value
-
-
-def _env_float(name: str, default: float, minimum: float,
-               exclusive: bool = False) -> float:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be a number {'>' if exclusive else '>='} "
-            f"{minimum}, got {raw!r}"
-        ) from None
-    if value < minimum or (exclusive and value == minimum):
-        raise ValueError(
-            f"{name} must be a number {'>' if exclusive else '>='} "
-            f"{minimum}, got {value}"
-        )
-    return value
+#: +/-50 % jitter decorrelates retries of concurrently-failing cells.
+RETRY_JITTER = (0.5, 1.5)
 
 
 @dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(knobs.KnobConfig):
     """Validated campaign driver configuration."""
 
-    concurrency: int = 2
-    cell_timeout_s: float = 120.0
-    retry_max: int = 2
-    retry_backoff_ms: float = 250.0
-    quarantine_after: int = 3
-
-    def __post_init__(self) -> None:
-        if self.concurrency < 1:
-            raise ValueError(
-                f"concurrency must be >= 1, got {self.concurrency}"
-            )
-        if self.cell_timeout_s <= 0:
-            raise ValueError(
-                f"cell timeout must be > 0 seconds, "
-                f"got {self.cell_timeout_s}"
-            )
-        if self.retry_max < 0:
-            raise ValueError(
-                f"retry cap must be >= 0, got {self.retry_max}"
-            )
-        if self.retry_backoff_ms <= 0:
-            raise ValueError(
-                f"retry backoff must be > 0 ms, "
-                f"got {self.retry_backoff_ms}"
-            )
-        if self.quarantine_after < 1:
-            raise ValueError(
-                f"quarantine threshold must be >= 1, "
-                f"got {self.quarantine_after}"
-            )
-
-    def retry_backoff_s(self, attempt: int,
-                        rng: random.Random | None = None) -> float:
-        """Capped-exponential backoff before retry number ``attempt``,
-        with +/-50% jitter when ``rng`` is given (decorrelates retries
-        of concurrently-failing cells)."""
-        base = self.retry_backoff_ms / 1000.0
-        delay = min(RETRY_BACKOFF_CAP_S, base * (2 ** max(0, attempt - 1)))
-        if rng is not None:
-            delay *= rng.uniform(0.5, 1.5)
-        return delay
-
-    @classmethod
-    def from_env(cls, **overrides) -> "CampaignConfig":
-        """Build from ``OMBPY_CAMPAIGN_*``; ``overrides`` (CLI flags) win.
-
-        An overridden knob's environment variable is not consulted at
-        all — a flag must beat even a malformed variable.  Raises
-        ``ValueError`` naming the offending variable on any malformed
-        or out-of-range value that *is* consulted.
-        """
-        readers = {
-            "concurrency": lambda: _env_int(
-                ENV_CONCURRENCY, cls.concurrency, 1
-            ),
-            "cell_timeout_s": lambda: _env_float(
-                ENV_CELL_TIMEOUT, cls.cell_timeout_s, 0.0, exclusive=True
-            ),
-            "retry_max": lambda: _env_int(ENV_RETRY_MAX, cls.retry_max, 0),
-            "retry_backoff_ms": lambda: _env_float(
-                ENV_RETRY_BACKOFF, cls.retry_backoff_ms, 0.0,
-                exclusive=True,
-            ),
-            "quarantine_after": lambda: _env_int(
-                ENV_QUARANTINE_AFTER, cls.quarantine_after, 1
-            ),
-        }
-        values = {
-            key: overrides[key]
-            if overrides.get(key) is not None else read()
-            for key, read in readers.items()
-        }
-        return cls(**values)
+    concurrency: int = knobs.knob_field(knobs.CAMPAIGN_CONCURRENCY)
+    cell_timeout_s: float = knobs.knob_field(knobs.CAMPAIGN_CELL_TIMEOUT_S)
+    retry_max: int = knobs.knob_field(knobs.CAMPAIGN_RETRY_MAX)
+    retry_backoff_ms: float = knobs.knob_field(
+        knobs.CAMPAIGN_RETRY_BACKOFF_MS
+    )
+    quarantine_after: int = knobs.knob_field(knobs.CAMPAIGN_QUARANTINE_AFTER)

@@ -1,19 +1,12 @@
-"""The regression gate: campaign results vs a prior benchmark snapshot.
+"""The regression gate: campaign results vs a prior campaign's.
 
 ``ombpy-campaign report --gate BASELINE`` compares the campaign's
-results store against a prior snapshot and fails (non-zero exit) when
-any benchmark slowed down past a configurable threshold — the
-continuous-integration teeth that keep the ``BENCH_*.json`` trajectory
-honest (cf. *MPI Benchmarking Revisited*: results that are not gated
-regress silently).
-
-Two baseline formats are accepted:
-
-* a ``BENCH_telemetry.json``-style snapshot
-  (``{"results": {name: {"sizes": [...], "off": [...]}}}``) — the
-  telemetry-off series is the reference;
-* a prior campaign's ``results.jsonl`` — cells are matched by
-  ``(benchmark, transport, ranks)``.
+results store against a prior campaign's ``results.jsonl`` and fails
+(non-zero exit) when any benchmark slowed down past a configurable
+threshold (cf. *MPI Benchmarking Revisited*: results that are not gated
+regress silently).  Cells are matched by ``(benchmark, transport,
+ranks)``.  The repository's own performance trajectory is not kept by
+this gate but by ``perf/`` (``BENCHMARK.json``, ``perf/README.md``).
 
 Metric direction is honoured: for latency-like metrics a regression is
 ``new/old > threshold``; for bandwidth/rate metrics it is
@@ -80,31 +73,13 @@ class GateResult:
 
 
 def load_baseline(path: str) -> dict[str, dict[int, float]]:
-    """Read a baseline file into ``{series_key: {size: value}}``.
+    """Read a prior ``results.jsonl`` into ``{series_key: {size: value}}``.
 
-    Series keys are benchmark names for snapshot baselines and
-    ``benchmark/transport/nRANKS`` for campaign baselines; the gate
-    matches campaign records against both forms.
+    Series keys are ``benchmark/transport/nRANKS``.
     """
     series: dict[str, dict[int, float]] = {}
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    # Both formats start with "{": a snapshot is one JSON document with
-    # a "results" mapping, a campaign store is one record per line (and
-    # a single-record store still parses as one document, so the key —
-    # not parseability — is the discriminator).
-    try:
-        doc = json.loads(text)
-    except ValueError:
-        doc = None
-    if isinstance(doc, dict) and "results" in doc:
-        for name, entry in (doc.get("results") or {}).items():
-            sizes = entry.get("sizes") or []
-            values = entry.get("off") or []
-            if sizes and len(sizes) == len(values):
-                series[name] = dict(zip(sizes, values))
-        return series
-    for line in text.splitlines():
+        for line in fh:
             line = line.strip()
             if not line:
                 continue
@@ -136,7 +111,7 @@ def check(records: list[dict], baseline: dict[str, dict[int, float]],
         key = (
             f"{benchmark}/{record.get('transport')}/n{record.get('ranks')}"
         )
-        reference = baseline.get(key) or baseline.get(benchmark)
+        reference = baseline.get(key)
         cell = record.get("cell", key)
         if reference is None:
             result.skipped.append(f"{cell} (no baseline series)")

@@ -27,8 +27,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from ..backoff import backoff_s
 from . import backends as bk
-from .config import CampaignConfig
+from .config import RETRY_BACKOFF_CAP_S, RETRY_JITTER, CampaignConfig
 from .journal import (
     CAMPAIGN_END, CELL_DONE, CELL_FAILED, CELL_PLANNED, CELL_QUARANTINED,
     CELL_STARTED, Journal, JournalState,
@@ -272,7 +273,10 @@ class CampaignScheduler:
             }
 
     def _backoff(self, attempt: int) -> None:
-        delay = self.config.retry_backoff_s(attempt, rng=self._rng)
+        delay = backoff_s(
+            attempt, self.config.retry_backoff_ms / 1000.0,
+            RETRY_BACKOFF_CAP_S, RETRY_JITTER, self._rng,
+        )
         if self._sleep is not None:
             self._sleep(delay)
             return

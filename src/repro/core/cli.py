@@ -201,16 +201,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     tele_env: list[str] = []
     if args.metrics or args.trace_out:
-        from ..telemetry import ENV_METRICS, ENV_TRACE
+        from ..knobs import METRICS, TRACE
 
         # The flags travel as environment so the world bootstrap (both
         # the threads fabric and launcher-spawned processes) arms every
         # rank's telemetry uniformly.
-        os.environ[ENV_METRICS] = "1"
-        tele_env.append(ENV_METRICS)
+        tele_env.append(METRICS.name)
         if args.trace_out:
-            os.environ[ENV_TRACE] = "1"
-            tele_env.append(ENV_TRACE)
+            tele_env.append(TRACE.name)
+        for key in tele_env:
+            os.environ[key] = "1"
     try:
         return _run(args)
     finally:

@@ -14,14 +14,11 @@ Wire a plan into a run with ``ombpy-run --faults plan.json`` /
 See ``docs/resilience.md`` for the fault taxonomy and JSON schema.
 """
 
-from .injector import (
-    ENV_BACKSTOP_MS, FaultEvent, FaultyTransport, InjectedCrash,
-)
+from .injector import FaultEvent, FaultyTransport, InjectedCrash
 from .plan import CrashSpec, FaultPlan
 
 __all__ = [
     "CrashSpec",
-    "ENV_BACKSTOP_MS",
     "FaultEvent",
     "FaultPlan",
     "FaultyTransport",

@@ -41,14 +41,10 @@ import threading
 import time
 from dataclasses import dataclass
 
+from ..knobs import FAULT_BACKSTOP_MS, read
 from ..mpi.matching import Envelope
 from ..mpi.transport.base import Transport, fault_exempt
 from .plan import FaultPlan
-
-#: Environment override for the held-message wall-clock backstop, in
-#: milliseconds.  Takes precedence over ``FaultPlan.backstop_ms`` so CI
-#: can tune slow hosts without editing committed plan files.
-ENV_BACKSTOP_MS = "OMBPY_FAULT_BACKSTOP_MS"
 
 
 class InjectedCrash(RuntimeError):
@@ -134,15 +130,10 @@ class FaultyTransport(Transport):
     # -- passthrough plumbing ---------------------------------------------
     @staticmethod
     def _resolve_backstop(plan: FaultPlan) -> float:
-        raw = os.environ.get(ENV_BACKSTOP_MS)
-        if raw is not None:
-            value = float(raw)
-            if value <= 0:
-                raise ValueError(
-                    f"{ENV_BACKSTOP_MS} must be > 0 ms, got {raw!r}"
-                )
-            return value / 1000.0
-        return plan.backstop_ms / 1000.0
+        # The variable beats the plan so CI can tune slow hosts without
+        # editing committed plan files.
+        ms = read(FAULT_BACKSTOP_MS)
+        return (plan.backstop_ms if ms is None else ms) / 1000.0
 
     def attach(self, engine) -> None:
         self.engine = engine

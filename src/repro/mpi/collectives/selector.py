@@ -8,8 +8,9 @@ ablation benchmarks use to force a particular algorithm across a sweep.
 
 from __future__ import annotations
 
-import os
 import threading
+
+from ...knobs import COLL, read
 
 # Switch points (bytes), modelled on common MVAPICH2/MPICH defaults.
 BCAST_SHORT_MSG = 16384          # binomial below, scatter+allgather above
@@ -19,7 +20,6 @@ ALLTOALL_SHORT_MSG = 256         # Bruck below, pairwise above
 REDUCE_SHORT_MSG = 16384         # binomial below, reduce-scatter+gather above
 REDUCE_SCATTER_SHORT_MSG = 8192  # recursive halving below, pairwise above
 
-_forced: dict[str, str] = {}
 _lock = threading.Lock()
 
 
@@ -27,9 +27,12 @@ def force(op: str, algorithm: str | None) -> None:
     """Force (or clear, with None) the algorithm used for ``op``.
 
     Used by ablation benchmarks; also settable via the environment as
-    ``OMBPY_COLL_<OP>=<algorithm>`` at import time.
+    ``OMBPY_COLL_<OP>=<algorithm>``, which is read once when this module
+    is imported and is what clearing falls back to.
     """
     with _lock:
+        if algorithm is None:
+            algorithm = _FROM_ENV.get(op)
         if algorithm is None:
             _forced.pop(op, None)
         else:
@@ -37,12 +40,12 @@ def force(op: str, algorithm: str | None) -> None:
 
 
 def forced(op: str) -> str | None:
-    """Return the forced algorithm for ``op`` if any."""
-    with _lock:
-        if op in _forced:
-            return _forced[op]
-    env = os.environ.get(f"OMBPY_COLL_{op.upper()}")
-    return env or None
+    """Return the forced algorithm for ``op`` if any.
+
+    On the path of every collective call, so a plain dict lookup: writers
+    (:func:`force`) replace whole entries under the lock.
+    """
+    return _forced.get(op)
 
 
 #: Collectives with a topology-aware two-level implementation
@@ -125,3 +128,22 @@ def available(op: str) -> tuple[str, ...]:
         "scan": ("recursive_doubling", "linear"),
     }
     return table[op]
+
+
+def _forced_from_env() -> dict[str, str]:
+    out = {}
+    for op, knob in COLL.items():
+        algorithm = read(knob)
+        if algorithm is None:
+            continue
+        choices = available(op)
+        if algorithm not in choices:
+            raise knob.error(
+                algorithm, accepted="one of " + ", ".join(choices)
+            )
+        out[op] = algorithm
+    return out
+
+
+_FROM_ENV = _forced_from_env()
+_forced: dict[str, str] = dict(_FROM_ENV)

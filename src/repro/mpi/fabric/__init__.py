@@ -9,7 +9,9 @@ This package replaces both assumptions:
   dialed on first send, an LRU-capped open-socket budget with a
   connection-level BYE handshake so eviction and transparent re-dial
   never reorder or lose frames.  ``establish_mesh`` becomes O(1); the
-  steady state is O(active peers).
+  steady state is O(active peers).  ``StreamTransport`` is the one
+  body the TCP, UDS and hybrid transports share — they supply only a
+  listener and a dialer.
 * :mod:`~repro.mpi.fabric.hybrid` — the node-group data path: ranks in
   the same group (``--groups``/``OMBPY_GROUPS``) talk over shared-memory
   rings, cross-group traffic rides the lazy UDS stream cache.  SHM
@@ -25,12 +27,11 @@ exploit it live in :mod:`repro.mpi.collectives.hierarchy`.  See
 """
 
 from .budget import FdBudget, check_fd_budget, plan_fd_budget
-from .stream import LazyStreamFabric, dial_with_retry
+from .stream import StreamTransport
 
 __all__ = [
     "FdBudget",
-    "LazyStreamFabric",
+    "StreamTransport",
     "check_fd_budget",
-    "dial_with_retry",
     "plan_fd_budget",
 ]

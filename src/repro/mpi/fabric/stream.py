@@ -3,7 +3,7 @@
 The eager mesh (every rank dials every lower rank at startup) costs
 O(N²) connections and O(N) establishment time per rank — our own scale
 lint prices it at ~61 ms of serialized dial latency at 128 ranks
-(OMB510).  :class:`LazyStreamFabric` replaces it:
+(OMB510).  :class:`StreamTransport` replaces it:
 
 * **one acceptor per rank** — ``establish_mesh`` starts a listener
   thread and returns; nothing is dialed up front;
@@ -12,9 +12,9 @@ lint prices it at ~61 ms of serialized dial latency at 128 ranks
   sends are a dict lookup.  A connection is full-duplex and shared: the
   accepting side registers it as *its* send channel too, so one socket
   serves an active pair in both directions;
-* **LRU-capped socket budget** — with ``max_open`` set (or
-  ``OMBPY_FABRIC_MAX_CONNS``), establishing a channel beyond the budget
-  evicts the least-recently-used one.  Eviction is a cooperative
+* **LRU-capped socket budget** — with ``OMBPY_FABRIC_MAX_CONNS`` set,
+  establishing a channel beyond the budget evicts the
+  least-recently-used one.  Eviction is a cooperative
   half-close: the evictor sends a :data:`~..transport.base.CTRL_BYE`
   frame, shuts down its write side, and **keeps reading until EOF**, so
   frames already in flight from the peer are all delivered; the peer's
@@ -30,25 +30,30 @@ or send error on an established channel reports the peer to the failure
 detector, and a dial that stays refused past a short patience window
 (the listener is provably up before any peer learns our address) is a
 dead peer, not a startup race.
+
+That is everything a stream transport is besides "listen" and "dial":
+the TCP, UDS and hybrid transports subclass :class:`StreamTransport`
+and supply only those two hooks.
 """
 
 from __future__ import annotations
 
 import errno
 import logging
-import os
-import random
 import socket
 import struct
 import threading
 import time
 from typing import Callable
 
-from ..exceptions import InternalError, RankFailedError
+from ...backoff import backoff_s
+from ...knobs import FABRIC_MAX_CONNS, read
+from ..exceptions import InternalError, RankError, RankFailedError
 from ..matching import Envelope
 from ..transport.base import (
-    CONTROL_CONTEXT, CTRL_BYE, HEADER_SIZE, control_envelope, pack_header,
-    recv_exact_into, send_frame, unpack_header,
+    CONTROL_CONTEXT, CTRL_BYE, CTRL_GOODBYE, HEADER_SIZE, Transport,
+    control_envelope, pack_header, recv_exact_into, send_frame,
+    unpack_header,
 )
 
 logger = logging.getLogger(__name__)
@@ -56,11 +61,9 @@ logger = logging.getLogger(__name__)
 #: Connection preamble: the dialing side announces its world rank.
 HELLO = struct.Struct("<i")
 
-#: Open-socket budget (0 = unlimited) unless the transport overrides it.
-ENV_MAX_CONNS = "OMBPY_FABRIC_MAX_CONNS"
 #: Overall dial deadline (covers the slowest startup race: a peer whose
 #: process has not been spawned yet).
-ENV_DIAL_TIMEOUT = "OMBPY_DIAL_TIMEOUT"
+DIAL_TIMEOUT = 60.0
 
 _DIAL_INITIAL_BACKOFF = 0.005
 _DIAL_MAX_BACKOFF = 0.25
@@ -80,24 +83,28 @@ _RETRYABLE_ERRNOS = frozenset({
 })
 
 #: Upper bound on waiting for a replaced reader to drain (see
-#: ``_read_loop``); generous because it only triggers on eviction races.
+#: ``_stream_read_loop``); generous because it only triggers on eviction
+#: races.
 _READER_CHAIN_TIMEOUT = 30.0
 
 
-def dial_with_retry(
-    connect, timeout: float, describe: str,
-    initial_backoff: float = 0.02,
-    max_backoff: float = 1.0,
-):
-    """Call ``connect()`` until it succeeds or ``timeout`` elapses.
+def dial(
+    connect: Callable[[], socket.socket],
+    timeout: float = DIAL_TIMEOUT,
+    startup_errnos: frozenset[int] = frozenset(),
+) -> socket.socket:
+    """Call ``connect()`` until it succeeds, with a two-tier patience.
 
-    Retries transient connect failures (refused, timed out, reset) with
-    capped exponential backoff plus jitter.  Kept for callers that need
-    plain patience (service warm-up probes); the fabric's own dial path
-    uses the two-tier policy in :meth:`LazyStreamFabric._dial`.
+    Startup races (the peer's listener file/process does not exist yet —
+    ``startup_errnos``) are retried until ``timeout``; refused/reset
+    dials only for :data:`_REFUSED_PATIENCE`, because a vanished
+    listener means a dead peer (see module docstring).  Anything else —
+    and the last error once patience runs out — is raised as is.
+    Waits are jittered so simultaneous dialers do not re-collide.
     """
-    deadline = time.monotonic() + timeout
-    backoff = initial_backoff
+    start = time.monotonic()
+    deadline = start + timeout
+    refused_deadline = start + min(_REFUSED_PATIENCE, timeout)
     attempt = 0
     while True:
         attempt += 1
@@ -105,19 +112,20 @@ def dial_with_retry(
             return connect()
         except (ConnectionError, TimeoutError, OSError) as exc:
             err = getattr(exc, "errno", None)
-            transient = (
-                isinstance(exc, (ConnectionError, TimeoutError))
-                or err in _RETRYABLE_ERRNOS
-            )
-            if not transient or time.monotonic() >= deadline:
-                raise InternalError(
-                    f"{describe}: connect failed after {attempt} "
-                    f"attempt(s): {exc!r}"
-                ) from exc
-            # Full jitter keeps simultaneous dialers from re-colliding.
-            time.sleep(max(0.0, min(backoff, deadline - time.monotonic()))
-                       * random.uniform(0.5, 1.0))
-            backoff = min(backoff * 2, max_backoff)
+            if err in startup_errnos:
+                limit = deadline
+            elif (isinstance(exc, (ConnectionError, TimeoutError))
+                    or err in _RETRYABLE_ERRNOS):
+                limit = refused_deadline
+            else:
+                raise
+            remaining = limit - time.monotonic()
+            if remaining <= 0:
+                raise
+            time.sleep(min(remaining, backoff_s(
+                attempt, _DIAL_INITIAL_BACKOFF, _DIAL_MAX_BACKOFF,
+                (0.5, 1.0),
+            )))
 
 
 class _Channel:
@@ -134,41 +142,38 @@ class _Channel:
         self.reader: threading.Thread | None = None
 
 
-class LazyStreamFabric:
-    """Connection cache + acceptor + readers for one rank's stream sockets.
+class StreamTransport(Transport):
+    """Everything a stream transport is besides "listen" and "dial".
 
-    Embedded by :class:`~repro.mpi.transport.tcp.TcpTransport` and
-    :class:`~repro.mpi.transport.uds.UdsTransport` (and the hybrid
-    transport's inter-group path): the owner supplies the listener
-    socket and a ``dialer(peer) -> socket`` closure; the fabric owns
-    every thread and socket after that.
+    The connection cache, acceptor, readers, data path, liveness hints
+    and teardown for one rank's stream sockets live here, once.
+    Subclasses provide :meth:`_listen` (the bound, listening socket whose
+    address peers can find) and :meth:`_dial_peer` (one connect attempt),
+    optionally ``label`` / ``startup_errnos`` / :meth:`_configure`, and
+    call :meth:`_open_streams` once their own state is set.
     """
 
-    def __init__(
-        self,
-        owner,
-        listen_sock: socket.socket,
-        dialer: Callable[[int], socket.socket],
-        *,
-        label: str,
-        configure: Callable[[socket.socket], None] | None = None,
-        max_open: int | None = None,
-        dial_timeout: float | None = None,
-        startup_errnos: frozenset[int] = frozenset(),
-    ) -> None:
-        self.owner = owner
-        self.listen_sock = listen_sock
-        self.dialer = dialer
-        self.label = label
-        self.configure = configure
-        if max_open is None:
-            max_open = int(os.environ.get(ENV_MAX_CONNS, "0"))
-        self.max_open = max_open
-        if dial_timeout is None:
-            dial_timeout = float(os.environ.get(ENV_DIAL_TIMEOUT, "60"))
-        self.dial_timeout = dial_timeout
-        self.startup_errnos = startup_errnos
+    #: Names this transport's threads and error messages.
+    label = "stream"
+    #: Connect errnos that mean "the peer has not started listening yet"
+    #: (retried for the full dial timeout rather than the short
+    #: dead-peer patience).
+    startup_errnos: frozenset[int] = frozenset()
 
+    # -- hooks -------------------------------------------------------------
+    def _listen(self) -> socket.socket:
+        raise NotImplementedError
+
+    def _dial_peer(self, peer: int) -> socket.socket:
+        raise NotImplementedError
+
+    def _configure(self, sock: socket.socket) -> None:
+        """Per-connection socket options (both dialed and accepted)."""
+
+    def _open_streams(self) -> None:
+        self._listener = self._listen()
+        #: Open-socket budget (0 = unlimited).
+        self.max_open = read(FABRIC_MAX_CONNS)
         self._lock = threading.Lock()
         self._channels: dict[int, _Channel] = {}   # peer -> send channel
         self._dial_locks: dict[int, threading.Lock] = {}
@@ -178,7 +183,7 @@ class LazyStreamFabric:
         self._draining: dict[int, threading.Thread] = {}
         self._live: dict[int, int] = {}            # peer -> open stream count
         self._ensuring: set[int] = set()
-        self._closed = threading.Event()
+        self._streams_closed = threading.Event()
         self._accept_thread: threading.Thread | None = None
         self._counts = {
             "dials": 0, "accepts": 0, "evictions": 0, "byes": 0,
@@ -186,24 +191,29 @@ class LazyStreamFabric:
         }
 
     # -- lifecycle ---------------------------------------------------------
-    def start(self) -> None:
-        """Start the acceptor; O(1) — nothing is dialed here."""
+    def establish_mesh(self, timeout: float = 60.0) -> None:
+        """Start the acceptor; O(1) — peers are dialed on first send."""
         if self._accept_thread is not None:
             return
         self._accept_thread = threading.Thread(
             target=self._accept_loop,
-            name=f"{self.label}-accept-r{self.owner.world_rank}", daemon=True,
+            name=f"{self.label}-accept-r{self.world_rank}", daemon=True,
         )
         self._accept_thread.start()
 
     def close(self) -> None:
-        if self._closed.is_set():
+        if self._streams_closed.is_set():
             return
-        self._closed.set()
-        try:
-            self.listen_sock.close()
-        except OSError:
-            pass
+        # Announce clean departure on *established* channels before
+        # tearing them down, so peers' readers interpret the coming EOF
+        # as a goodbye, not a crash.  Unestablished peers need nothing:
+        # there is no socket whose EOF could be misread.
+        with self._lock:
+            established = list(self._channels)
+        for peer in established:
+            self.send_control(peer, CTRL_GOODBYE)
+        self._streams_closed.set()
+        _quiet_close(self._listener)
         with self._lock:
             channels = list(self._channels.values())
             self._channels.clear()
@@ -213,13 +223,13 @@ class LazyStreamFabric:
                 _quiet_close(ch.sock)
 
     # -- queries -----------------------------------------------------------
-    def connected(self) -> list[int]:
+    def connected_peers(self) -> list[int]:
         """Peers with an established send channel right now."""
         with self._lock:
             return list(self._channels)
 
-    def stats(self) -> dict[str, int]:
-        """Connection-cache counters (for benchmarks and tests)."""
+    def connection_stats(self) -> dict[str, int]:
+        """Connection-cache counters (dials, evictions, peak peers...)."""
         with self._lock:
             out = dict(self._counts)
             out["open_peers"] = len(self._live)
@@ -228,11 +238,19 @@ class LazyStreamFabric:
         return out
 
     # -- data path ---------------------------------------------------------
-    def send(self, dest: int, env: Envelope, payload: bytes) -> None:
+    def send(self, dest_world_rank: int, env: Envelope, payload: bytes) -> None:
         """Framed send; dials and (re-)establishes the channel as needed."""
+        if dest_world_rank == self.world_rank:
+            self._deliver_local(env, payload)
+            return
+        if not 0 <= dest_world_rank < self.world_size:
+            raise RankError(
+                f"no route to rank {dest_world_rank} "
+                f"(world size {self.world_size})"
+            )
         header = pack_header(env)
         while True:
-            ch = self._channel_for(dest)
+            ch = self._channel_for(dest_world_rank)
             with ch.lock:
                 if ch.closing:
                     continue  # raced an eviction; fetch a fresh channel
@@ -241,20 +259,20 @@ class LazyStreamFabric:
                     send_frame(ch.sock, header, payload)
                     return
                 except (ConnectionError, OSError) as exc:
-                    if self._closed.is_set():
+                    if self._streams_closed.is_set():
                         raise
                     if ch.closing:
                         continue  # evicted mid-wait; transparent re-dial
-                    self._drop(dest, ch)
-                    self.owner.report_peer_lost(
-                        dest, f"send failed: {exc!r}"
+                    self._drop(dest_world_rank, ch)
+                    self.report_peer_lost(
+                        dest_world_rank, f"send failed: {exc!r}"
                     )
                     raise RankFailedError(
-                        f"send to rank {dest} failed: peer is dead "
-                        f"({exc!r})", rank=dest,
+                        f"send to rank {dest_world_rank} failed: peer is "
+                        f"dead ({exc!r})", rank=dest_world_rank,
                     ) from exc
 
-    def ensure(self, peer: int) -> None:
+    def ensure_peer(self, peer: int) -> None:
         """Background-establish the channel to ``peer`` if absent.
 
         Called when a receive from ``peer`` is posted: the connection is
@@ -264,7 +282,7 @@ class LazyStreamFabric:
         on a short-lived daemon thread; failures surface through the
         failure detector, not the caller.
         """
-        if peer == self.owner.world_rank or self._closed.is_set():
+        if peer == self.world_rank or self._streams_closed.is_set():
             return
         with self._lock:
             if peer in self._channels or peer in self._ensuring:
@@ -282,7 +300,7 @@ class LazyStreamFabric:
 
         threading.Thread(
             target=_bg, daemon=True,
-            name=f"{self.label}-ensure-r{self.owner.world_rank}-to{peer}",
+            name=f"{self.label}-ensure-r{self.world_rank}-to{peer}",
         ).start()
 
     # -- channel establishment --------------------------------------------
@@ -290,7 +308,7 @@ class LazyStreamFabric:
         ch = self._channels.get(peer)
         if ch is not None and not ch.closing:
             return ch
-        if self._closed.is_set():
+        if self._streams_closed.is_set():
             raise InternalError(
                 f"{self.label}: send on closed transport"
             )
@@ -302,69 +320,34 @@ class LazyStreamFabric:
                 return ch
             if ch is not None:
                 self._counts["redials"] += 1
-            detector = self.owner.detector
+            detector = self.detector
             if detector is not None and peer in detector.failed_ranks():
                 raise RankFailedError(
                     f"rank {peer} already declared dead; not dialing",
                     rank=peer,
                 )
             try:
-                sock = self._dial(peer)
-            except (ConnectionError, TimeoutError, OSError) as exc:
-                self.owner.report_peer_lost(
-                    peer, f"dial failed: {exc!r}"
+                sock = dial(
+                    lambda: self._dial_peer(peer),
+                    startup_errnos=self.startup_errnos,
                 )
+            except (ConnectionError, TimeoutError, OSError) as exc:
+                self.report_peer_lost(peer, f"dial failed: {exc!r}")
                 raise RankFailedError(
                     f"could not establish {self.label} connection to rank "
                     f"{peer}: {exc!r}", rank=peer,
                 ) from exc
             try:
-                if self.configure is not None:
-                    self.configure(sock)
-                sock.sendall(HELLO.pack(self.owner.world_rank))
+                self._configure(sock)
+                sock.sendall(HELLO.pack(self.world_rank))
             except (ConnectionError, OSError) as exc:
                 _quiet_close(sock)
-                self.owner.report_peer_lost(
-                    peer, f"handshake failed: {exc!r}"
-                )
+                self.report_peer_lost(peer, f"handshake failed: {exc!r}")
                 raise RankFailedError(
                     f"{self.label} handshake with rank {peer} failed "
                     f"({exc!r})", rank=peer,
                 ) from exc
             return self._adopt(peer, sock, inbound=False)
-
-    def _dial(self, peer: int) -> socket.socket:
-        """Two-tier dial retry.
-
-        Startup races (the peer's listener file/process does not exist
-        yet — ``startup_errnos``) are retried until ``dial_timeout``;
-        refused/reset dials only for :data:`_REFUSED_PATIENCE`, because
-        a vanished listener means a dead peer (see module docstring).
-        Anything else raises immediately.
-        """
-        start = time.monotonic()
-        deadline = start + self.dial_timeout
-        refused_deadline = start + min(_REFUSED_PATIENCE, self.dial_timeout)
-        backoff = _DIAL_INITIAL_BACKOFF
-        while True:
-            try:
-                return self.dialer(peer)
-            except (ConnectionError, TimeoutError, OSError) as exc:
-                err = getattr(exc, "errno", None)
-                if err in self.startup_errnos:
-                    limit = deadline
-                elif (isinstance(exc, (ConnectionError, TimeoutError))
-                        or err in _RETRYABLE_ERRNOS):
-                    limit = refused_deadline
-                else:
-                    raise
-                if time.monotonic() >= limit:
-                    raise
-                time.sleep(
-                    max(0.0, min(backoff, limit - time.monotonic()))
-                    * random.uniform(0.5, 1.0)
-                )
-                backoff = min(backoff * 2, _DIAL_MAX_BACKOFF)
 
     def _adopt(
         self, peer: int, sock: socket.socket, *, inbound: bool
@@ -372,7 +355,7 @@ class LazyStreamFabric:
         """Register a freshly established stream and start its reader."""
         ch = _Channel(peer, sock)
         with self._lock:
-            if self._closed.is_set():
+            if self._streams_closed.is_set():
                 _quiet_close(sock)
                 raise InternalError(
                     f"{self.label}: transport closed during establishment"
@@ -396,8 +379,8 @@ class LazyStreamFabric:
             )
             prev = self._draining.pop(peer, None)
             reader = threading.Thread(
-                target=self._read_loop, args=(peer, ch, prev),
-                name=f"{self.label}-read-r{self.owner.world_rank}"
+                target=self._stream_read_loop, args=(peer, ch, prev),
+                name=f"{self.label}-read-r{self.world_rank}"
                      f"-from{peer}", daemon=True,
             )
             ch.reader = reader
@@ -408,17 +391,16 @@ class LazyStreamFabric:
 
     # -- acceptor ----------------------------------------------------------
     def _accept_loop(self) -> None:
-        while not self._closed.is_set():
+        while not self._streams_closed.is_set():
             try:
-                sock, _addr = self.listen_sock.accept()
+                sock, _addr = self._listener.accept()
             except OSError:
                 return
             # A peer can die between connect() and its HELLO; a half-open
             # socket must not kill the acceptor (which would wedge every
             # later-arriving peer).
             try:
-                if self.configure is not None:
-                    self.configure(sock)
+                self._configure(sock)
                 (peer,) = HELLO.unpack(
                     recv_exact_into(sock, HELLO.size)
                 )
@@ -426,7 +408,7 @@ class LazyStreamFabric:
                 logger.warning(
                     "rank %d: dropping half-open inbound %s connection "
                     "(peer died mid-handshake: %r)",
-                    self.owner.world_rank, self.label, exc,
+                    self.world_rank, self.label, exc,
                 )
                 _quiet_close(sock)
                 continue
@@ -436,7 +418,7 @@ class LazyStreamFabric:
                 return  # closed concurrently
 
     # -- readers -----------------------------------------------------------
-    def _read_loop(
+    def _stream_read_loop(
         self, peer: int, ch: _Channel, prev: threading.Thread | None
     ) -> None:
         # Ordering across re-dials: frames the peer pushed on a replaced
@@ -448,7 +430,7 @@ class LazyStreamFabric:
         if prev is not None and prev.is_alive():
             prev.join(_READER_CHAIN_TIMEOUT)
         try:
-            while not self._closed.is_set():
+            while not self._streams_closed.is_set():
                 env = unpack_header(recv_exact_into(ch.sock, HEADER_SIZE))
                 if env.context == CONTROL_CONTEXT and env.tag == CTRL_BYE:
                     self._on_bye(peer, ch)
@@ -457,16 +439,16 @@ class LazyStreamFabric:
                     recv_exact_into(ch.sock, env.nbytes)
                     if env.nbytes else b""
                 )
-                self.owner._deliver_local(env, payload)
+                self._deliver_local(env, payload)
         except (ConnectionError, OSError) as exc:
-            if self._closed.is_set() or ch.closing:
+            if self._streams_closed.is_set() or ch.closing:
                 # Our own teardown, or the drain-until-EOF tail of an
                 # eviction we initiated: a clean connection end.
                 _quiet_close(ch.sock)
                 return
             self._drop(peer, ch)
             _quiet_close(ch.sock)
-            self.owner.report_peer_lost(
+            self.report_peer_lost(
                 peer, f"connection lost mid-run: {exc!r}"
             )
         finally:
@@ -522,7 +504,7 @@ class LazyStreamFabric:
             ch.closing = True
             try:
                 env = control_envelope(
-                    CTRL_BYE, self.owner.world_rank, ch.peer
+                    CTRL_BYE, self.world_rank, ch.peer
                 )
                 send_frame(ch.sock, pack_header(env), b"")
                 ch.sock.shutdown(socket.SHUT_WR)

@@ -37,12 +37,12 @@ import sys
 import threading
 import time
 
-from ..telemetry import ENV_METRICS, ENV_OUT, ENV_TRACE
-from .exceptions import RANK_FAILED_EXIT
-from .world import (
+from ..knobs import (
     ENV_COORD, ENV_FAULT_LOG, ENV_FAULT_SEED, ENV_FAULTS, ENV_JOB, ENV_RANK,
-    ENV_SIZE, ENV_TRANSPORT,
+    ENV_SIZE, ENV_TELEMETRY_OUT, ENV_TRANSPORT, GROUPS, METRICS, RELIABLE,
+    SHM_CAPACITY, TRACE, read,
 )
+from .exceptions import RANK_FAILED_EXIT
 
 #: Seconds between fail-fast trigger and forcible survivor termination —
 #: enough for survivors' failure detectors (EOF-based, sub-second) to
@@ -311,10 +311,10 @@ def spawn_ranks(
     if command[0].endswith(".py"):
         command = [sys.executable] + command
 
-    from .topology import ENV_GROUPS, parse_groups
+    from .topology import parse_groups
 
     group_map = None
-    groups_spec = groups or os.environ.get(ENV_GROUPS)
+    groups_spec = groups or read(GROUPS)
     if groups_spec:
         group_map = parse_groups(groups_spec, n)
 
@@ -330,7 +330,7 @@ def spawn_ranks(
     job_id = None
     coord_env: dict[str, str] = {ENV_TRANSPORT: transport}
     if group_map is not None:
-        coord_env[ENV_GROUPS] = group_map.spec()
+        coord_env[GROUPS.name] = group_map.spec()
     if transport == "tcp":
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -348,7 +348,7 @@ def spawn_ranks(
         if transport == "shm":
             from .transport.shm import create_job_segments, intra_group_pairs
 
-            capacity = int(os.environ.get("OMBPY_SHM_CAPACITY", 1 << 20))
+            capacity = read(SHM_CAPACITY)
             pairs = None
             if group_map is not None and group_map.n_groups > 1:
                 pairs = intra_group_pairs(group_map)
@@ -446,9 +446,7 @@ def launch(
     if fault_log is not None:
         feature_env[ENV_FAULT_LOG] = os.path.abspath(fault_log)
     if reliable:
-        from .reliability import ENV_RELIABLE
-
-        feature_env[ENV_RELIABLE] = "1"
+        feature_env[RELIABLE.name] = "1"
     telemetry_base = None
     if metrics or trace_out is not None:
         import tempfile
@@ -456,10 +454,10 @@ def launch(
         telemetry_base = os.path.join(
             tempfile.mkdtemp(prefix="ombpy-telemetry-"), "job"
         )
-        feature_env[ENV_METRICS] = "1"
-        feature_env[ENV_OUT] = telemetry_base
+        feature_env[METRICS.name] = "1"
+        feature_env[ENV_TELEMETRY_OUT] = telemetry_base
         if trace_out is not None:
-            feature_env[ENV_TRACE] = "1"
+            feature_env[TRACE.name] = "1"
 
     interrupted = threading.Event()
     old_handlers: dict[int, object] = {}

@@ -35,32 +35,27 @@ Counters (:meth:`ReliableTransport.stats`) expose what was absorbed:
 ``corrupt_dropped``, ``out_of_order``, ``acks_sent``,
 ``acks_received``, ``escalations``.
 
-Knobs (environment): ``OMBPY_RELIABLE=1`` arms the layer under
-``ombpy-run``/``init()``; ``OMBPY_REL_RTO_MS`` sets the initial
-retransmit timeout (default 50 ms, doubling to 1 s max);
+Knobs (rows of :mod:`repro.knobs`): ``OMBPY_RELIABLE=1`` arms the
+layer under ``ombpy-run``/``init()``; ``OMBPY_REL_RTO_MS`` sets the
+initial retransmit timeout (default 50 ms, doubling to 1 s max);
 ``OMBPY_REL_MAX_RETRIES`` the give-up threshold (default 8).
 """
 
 from __future__ import annotations
 
-import os
 import random
 import struct
 import threading
 import time
 import zlib
 
+from ..backoff import backoff_s
+from ..knobs import REL_MAX_RETRIES, REL_RTO_MS, read
 from .exceptions import RankFailedError
 from .matching import Envelope
 from .transport.base import ACK_CONTEXT, Transport
 
-ENV_RELIABLE = "OMBPY_RELIABLE"
-ENV_RTO_MS = "OMBPY_REL_RTO_MS"
-ENV_MAX_RETRIES = "OMBPY_REL_MAX_RETRIES"
-
-DEFAULT_RTO = 0.05
 DEFAULT_RTO_MAX = 1.0
-DEFAULT_MAX_RETRIES = 8
 DEFAULT_CLOSE_LINGER = 0.25
 
 # Reliability frame header, prepended to every data payload:
@@ -145,16 +140,12 @@ class ReliableTransport(Transport):
         super().__init__(inner.world_rank, inner.world_size)
         self.inner = inner
         if rto_initial is None:
-            rto_initial = float(os.environ.get(ENV_RTO_MS, 0)) / 1000.0 \
-                or DEFAULT_RTO
+            rto_initial = read(REL_RTO_MS) / 1000.0
         if max_retries is None:
-            max_retries = int(
-                os.environ.get(ENV_MAX_RETRIES, DEFAULT_MAX_RETRIES)
-            )
+            max_retries = read(REL_MAX_RETRIES)
         if rto_initial <= 0:
             raise ValueError(f"rto_initial must be > 0, got {rto_initial}")
-        if max_retries < 1:
-            raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+        REL_MAX_RETRIES.check(max_retries, what="max_retries")
         self.rto_initial = rto_initial
         self.rto_max = max(rto_max, rto_initial)
         self.max_retries = max_retries
@@ -249,10 +240,10 @@ class ReliableTransport(Transport):
             raise
 
     def _rto(self, attempts: int) -> float:
-        backoff = min(
-            self.rto_initial * (2 ** (attempts - 1)), self.rto_max
+        return backoff_s(
+            attempts, self.rto_initial, self.rto_max, (0.9, 1.2),
+            self._jitter,
         )
-        return backoff * self._jitter.uniform(0.9, 1.2)
 
     def _ensure_retransmitter(self) -> None:
         if self._retransmitter is not None or self._closed.is_set():
@@ -417,9 +408,3 @@ class ReliableTransport(Transport):
             self._retransmitter.join(timeout=1)
         self.inner.close()
 
-
-def reliable_from_env(transport: Transport) -> Transport:
-    """Wrap ``transport`` when ``OMBPY_RELIABLE`` is set (launcher path)."""
-    if os.environ.get(ENV_RELIABLE, "") in ("", "0"):
-        return transport
-    return ReliableTransport(transport)

@@ -29,31 +29,20 @@ probe wakes and raises promptly instead of hanging until the launcher's
 global timeout.  An active runtime verifier (``repro.analysis``) is
 notified so its cross-rank diagnostics name the dead peer too.
 
-Tuning knobs (environment):
-
-* ``OMBPY_HB_INTERVAL`` — seconds between heartbeats (default 0.5);
-* ``OMBPY_HB_TIMEOUT`` — heartbeat silence before a peer is declared
-  dead (default 10.0; EOF detection is independent of this and
-  near-instant);
-* ``OMBPY_HB_DISABLE=1`` — disable the detector entirely.
+Tuning knobs: ``OMBPY_HB_INTERVAL``, ``OMBPY_HB_TIMEOUT`` and
+``OMBPY_HB_DISABLE`` (rows of :mod:`repro.knobs`; ``docs/resilience.md``
+has the table).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
+from ..knobs import HB_DISABLE, HB_INTERVAL, HB_TIMEOUT, flag, read
 from .exceptions import RankFailedError
 from .matching import Envelope, MatchingEngine
 from .transport.base import CTRL_GOODBYE, CTRL_HEARTBEAT, Transport
-
-DEFAULT_INTERVAL = 0.5
-DEFAULT_TIMEOUT = 10.0
-
-ENV_INTERVAL = "OMBPY_HB_INTERVAL"
-ENV_TIMEOUT = "OMBPY_HB_TIMEOUT"
-ENV_DISABLE = "OMBPY_HB_DISABLE"
 
 
 class FailureDetector:
@@ -63,12 +52,11 @@ class FailureDetector:
         self,
         transport: Transport,
         engine: MatchingEngine,
-        interval: float = DEFAULT_INTERVAL,
-        heartbeat_timeout: float = DEFAULT_TIMEOUT,
+        interval: float = HB_INTERVAL.default,
+        heartbeat_timeout: float = HB_TIMEOUT.default,
         endpoint=None,
     ) -> None:
-        if interval <= 0:
-            raise ValueError(f"heartbeat interval must be > 0, got {interval}")
+        HB_INTERVAL.check(interval, what="heartbeat interval")
         self.transport = transport
         self.engine = engine
         self.interval = interval
@@ -197,11 +185,9 @@ def detector_from_env(
     transport: Transport, engine: MatchingEngine, endpoint=None
 ) -> FailureDetector | None:
     """Build (but do not start) a detector per the ``OMBPY_HB_*`` env."""
-    if os.environ.get(ENV_DISABLE, "") not in ("", "0"):
+    if flag(HB_DISABLE):
         return None
-    interval = float(os.environ.get(ENV_INTERVAL, DEFAULT_INTERVAL))
-    hb_timeout = float(os.environ.get(ENV_TIMEOUT, DEFAULT_TIMEOUT))
     return FailureDetector(
-        transport, engine, interval=interval, heartbeat_timeout=hb_timeout,
-        endpoint=endpoint,
+        transport, engine, interval=read(HB_INTERVAL),
+        heartbeat_timeout=read(HB_TIMEOUT), endpoint=endpoint,
     )

@@ -19,16 +19,13 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..knobs import GROUPS, read
 from .comm import Comm
 from .constants import PROC_NULL
 from .exceptions import MPIError
-
-#: Environment variable carrying the group spec to every rank process.
-ENV_GROUPS = "OMBPY_GROUPS"
 
 
 class TopologyError(MPIError):
@@ -347,7 +344,5 @@ def parse_groups(spec: str, world_size: int) -> GroupMap:
 
 def group_map_from_env(world_size: int) -> GroupMap | None:
     """The launch's group map, or ``None`` when running flat."""
-    spec = os.environ.get(ENV_GROUPS, "").strip()
-    if not spec:
-        return None
-    return parse_groups(spec, world_size)
+    spec = read(GROUPS)
+    return parse_groups(spec, world_size) if spec else None

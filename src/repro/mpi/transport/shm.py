@@ -24,6 +24,7 @@ import threading
 import time
 from multiprocessing import shared_memory
 
+from ...knobs import SHM_CAPACITY
 from ..exceptions import InternalError, RankError
 from ..matching import Envelope
 from .base import (
@@ -34,7 +35,6 @@ from .base import (
 _CTRL = struct.Struct("<QQ")
 _WORD = struct.Struct("<Q")
 CTRL_SIZE = _CTRL.size
-DEFAULT_CAPACITY = 1 << 20  # 1 MiB per directed pair
 
 
 def segment_name(job_id: str, src: int, dst: int) -> str:
@@ -84,7 +84,7 @@ class _Ring:
         if n >= self.capacity:
             raise InternalError(
                 f"frame of {n} bytes exceeds ring capacity "
-                f"{self.capacity}; raise OMBPY_SHM_CAPACITY"
+                f"{self.capacity}; raise {SHM_CAPACITY.name}"
             )
         spins = 0
         while True:
@@ -175,7 +175,7 @@ def intra_group_pairs(group_map) -> list[tuple[int, int]]:
 def create_job_segments(
     job_id: str,
     world_size: int,
-    capacity: int = DEFAULT_CAPACITY,
+    capacity: int = SHM_CAPACITY.default,
     pairs: list[tuple[int, int]] | None = None,
 ) -> list[shared_memory.SharedMemory]:
     """Launcher-side: create the directed-pair ring segments.

@@ -19,10 +19,7 @@ import os
 import socket
 import tempfile
 
-from ..exceptions import RankError
-from ..fabric.stream import LazyStreamFabric
-from ..matching import Envelope
-from .base import CTRL_GOODBYE, Transport
+from ..fabric.stream import StreamTransport
 
 
 def socket_dir(job_id: str) -> str:
@@ -34,29 +31,28 @@ def socket_path(job_id: str, rank: int) -> str:
     return os.path.join(socket_dir(job_id), f"rank{rank}.sock")
 
 
-class UdsTransport(Transport):
+class UdsTransport(StreamTransport):
     """AF_UNIX transport for one rank (lazy connection cache)."""
+
+    label = "uds"
+    startup_errnos = frozenset({errno.ENOENT})
 
     def __init__(self, world_rank: int, world_size: int, job_id: str) -> None:
         super().__init__(world_rank, world_size)
         self._job_id = job_id
-        os.makedirs(socket_dir(job_id), exist_ok=True)
-        self._path = socket_path(job_id, world_rank)
+        self._open_streams()
+
+    def _listen(self) -> socket.socket:
+        os.makedirs(socket_dir(self._job_id), exist_ok=True)
+        self._path = socket_path(self._job_id, self.world_rank)
         try:
             os.unlink(self._path)
         except FileNotFoundError:
             pass
         listen = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         listen.bind(self._path)
-        listen.listen(max(world_size, 8))
-        self._fabric = LazyStreamFabric(
-            self, listen, self._dial_peer, label="uds",
-            startup_errnos=frozenset({errno.ENOENT}),
-        )
-
-    def establish_mesh(self, timeout: float = 60.0) -> None:
-        """Start the acceptor; O(1) — peers are dialed on first send."""
-        self._fabric.start()
+        listen.listen(max(self.world_size, 8))
+        return listen
 
     def _dial_peer(self, peer: int) -> socket.socket:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -67,33 +63,8 @@ class UdsTransport(Transport):
             raise
         return sock
 
-    # -- data path -------------------------------------------------------
-    def send(self, dest_world_rank: int, env: Envelope, payload: bytes) -> None:
-        if dest_world_rank == self.world_rank:
-            self._deliver_local(env, payload)
-            return
-        if not 0 <= dest_world_rank < self.world_size:
-            raise RankError(
-                f"no route to rank {dest_world_rank} "
-                f"(world size {self.world_size})"
-            )
-        self._fabric.send(dest_world_rank, env, payload)
-
-    # -- fabric surface ---------------------------------------------------
-    def ensure_peer(self, peer_world_rank: int) -> None:
-        self._fabric.ensure(peer_world_rank)
-
-    def connected_peers(self) -> list[int]:
-        return self._fabric.connected()
-
-    def connection_stats(self) -> dict[str, int]:
-        """Connection-cache counters (dials, evictions, peak peers...)."""
-        return self._fabric.stats()
-
     def close(self) -> None:
-        for peer in self._fabric.connected():
-            self.send_control(peer, CTRL_GOODBYE)
-        self._fabric.close()
+        super().close()
         try:
             os.unlink(self._path)
         except OSError:

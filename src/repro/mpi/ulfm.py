@@ -39,20 +39,16 @@ timeout-based ULFM implementations.
 
 from __future__ import annotations
 
-import os
 import struct
 import time
 from typing import Callable, TypeVar
 
+from ..knobs import ULFM_TIMEOUT, read
 from .comm import Comm
 from .exceptions import CommError, CommRevokedError, MPIError, RankFailedError
 from .group import Group
 from .matching import Envelope
 from .transport.base import CTRL_REVOKE, ULFM_CONTEXT_FLAG
-
-#: Per-round receive timeout (seconds) for the convergence protocol.
-ENV_ULFM_TIMEOUT = "OMBPY_ULFM_TIMEOUT"
-DEFAULT_TIMEOUT = 30.0
 
 _WORD = struct.Struct("<q")
 _CTX_SHIFT = 16
@@ -62,17 +58,8 @@ T = TypeVar("T")
 
 
 def _recovery_timeout(timeout: float | None) -> float:
-    if timeout is not None:
-        return timeout
-    raw = os.environ.get(ENV_ULFM_TIMEOUT)
-    if raw:
-        value = float(raw)
-        if value <= 0:
-            raise ValueError(
-                f"{ENV_ULFM_TIMEOUT} must be > 0 seconds, got {raw!r}"
-            )
-        return value
-    return DEFAULT_TIMEOUT
+    """Per-round receive timeout (seconds) of the convergence protocol."""
+    return timeout if timeout is not None else read(ULFM_TIMEOUT)
 
 
 def revoke(comm: Comm) -> None:

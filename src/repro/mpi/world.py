@@ -11,6 +11,10 @@ Three entry paths:
   suite and single-process benchmarks use.
 * :func:`run_on_processes` — convenience wrapper that shells out to the
   launcher for true multi-process execution.
+
+All of them (and the service's warm thread pool) turn a wire transport
+into an endpoint through :func:`build_endpoint` — the one place the
+order of the transport stack is decided.
 """
 
 from __future__ import annotations
@@ -22,23 +26,18 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..telemetry import ENV_OUT, install_on_endpoint, telemetry_from_env
+from ..knobs import (
+    ENV_COORD, ENV_FAULT_LOG, ENV_FAULT_SEED, ENV_FAULTS, ENV_JOB, ENV_RANK,
+    ENV_SIZE, ENV_TELEMETRY_OUT, ENV_TRANSPORT, RELIABLE, flag,
+)
+from ..telemetry import install_on_endpoint, telemetry_from_env
 from . import constants as C
 from .comm import Comm, Endpoint
 from .exceptions import InternalError
 from .group import Group
-from .reliability import reliable_from_env
+from .reliability import ReliableTransport
 from .transport.inproc import InprocFabric
 from .transport.tcp import TcpTransport
-
-ENV_RANK = "OMBPY_RANK"
-ENV_SIZE = "OMBPY_SIZE"
-ENV_COORD = "OMBPY_COORD"
-ENV_TRANSPORT = "OMBPY_TRANSPORT"
-ENV_JOB = "OMBPY_JOB"
-ENV_FAULTS = "OMBPY_FAULTS"
-ENV_FAULT_SEED = "OMBPY_FAULT_SEED"
-ENV_FAULT_LOG = "OMBPY_FAULT_LOG"
 
 
 def reliability_stats(transport) -> dict[str, int] | None:
@@ -65,13 +64,44 @@ def _faults_from_env():
     return FaultPlan.chaos(int(seed))
 
 
-def _wrap_faults(transport, plan):
-    """Wrap a mesh-established transport in the fault injector."""
-    from ..faults import FaultyTransport
+def build_endpoint(
+    wire, *, fault_plan=None, fault_log: str | None = None,
+    reliable: bool = False, group_map=None,
+) -> Endpoint:
+    """Assemble the transport stack over ``wire`` and attach an endpoint.
 
-    return FaultyTransport(
-        transport, plan, log_path=os.environ.get(ENV_FAULT_LOG)
-    )
+    The order is fixed here and nowhere else: app → reliable → faulty →
+    wire, each decorator reaching the next through ``.inner``.  The
+    fault injector (an active ``fault_plan``) wraps the wire *before*
+    the endpoint attaches, so no inbound frame can race the engine
+    attachment; the reliability layer stacks *outside* the injector, so
+    injected drops/duplicates/truncations are absorbed before the
+    matching engine sees the stream.  The endpoint then gets the
+    node-group map and, when ``OMBPY_METRICS``/``OMBPY_TRACE`` are set,
+    a telemetry object bound to every layer that reports into one.
+    """
+    transport = wire
+    if fault_plan is not None and fault_plan.active:
+        from ..faults import FaultyTransport
+
+        transport = FaultyTransport(transport, fault_plan, log_path=fault_log)
+    if reliable:
+        transport = ReliableTransport(transport)
+    endpoint = Endpoint(transport)
+    endpoint.group_map = group_map
+    tele = telemetry_from_env(wire.world_rank)
+    if tele is not None:
+        install_on_endpoint(endpoint, tele)
+    return endpoint
+
+
+def _dump_telemetry(endpoint: Endpoint) -> None:
+    """Persist a rank's telemetry where the launcher asked for it."""
+    base = os.environ.get(ENV_TELEMETRY_OUT)
+    if endpoint.telemetry is not None and base:
+        from ..telemetry.export import write_rank_dump
+
+        write_rank_dump(base, endpoint.telemetry)
 
 
 @dataclass
@@ -99,11 +129,7 @@ class World:
         """Tear down transports.  Collective in spirit: call on all ranks."""
         # Persist this rank's telemetry before the channel goes down so
         # the launcher can merge the per-rank dumps after the job exits.
-        tele = self.endpoint.telemetry
-        if tele is not None and os.environ.get(ENV_OUT):
-            from ..telemetry.export import write_rank_dump
-
-            write_rank_dump(os.environ[ENV_OUT], tele)
+        _dump_telemetry(self.endpoint)
         # Stop liveness monitoring before sockets go down, so our own
         # teardown is not reported as a peer failure.
         if self._detector is not None:
@@ -119,34 +145,28 @@ class World:
         self.finalize()
 
 
-def _assemble_world(
-    transport, size: int, thread_level: int, establish: bool
-) -> World:
-    """Common multi-process tail: faults, endpoint, mesh, detector, comm.
+def _assemble_world(transport, size: int, thread_level: int) -> World:
+    """Common multi-process tail: stack, mesh, detector, comm.
 
-    The fault injector (if the chaos env is set) wraps the transport
-    *before* the endpoint attaches, and the mesh is established after, so
-    no inbound frame can race the engine attachment.  The reliability
-    layer (``OMBPY_RELIABLE``) stacks *outside* the injector — app →
-    reliable → faulty → wire — so injected drops/duplicates/truncations
-    are absorbed before the matching engine sees the stream.  The failure
+    The stack (:func:`build_endpoint`) is configured from the launcher's
+    environment.  The mesh is established after the endpoint attaches,
+    so no inbound frame can race the engine attachment.  The failure
     detector binds to the *innermost* transport — heartbeats must not
     consume fault-plan RNG draws, or replay determinism dies.
     """
-    plan = _faults_from_env()
-    wrapped = transport
-    if plan is not None and plan.active:
-        wrapped = _wrap_faults(transport, plan)
-    wrapped = reliable_from_env(wrapped)
-    endpoint = Endpoint(wrapped)
     from .topology import group_map_from_env
 
-    endpoint.group_map = group_map_from_env(size)
-    tele = telemetry_from_env(transport.world_rank)
-    if tele is not None:
-        install_on_endpoint(endpoint, tele)
-    if establish:
-        transport.establish_mesh()
+    endpoint = build_endpoint(
+        transport, fault_plan=_faults_from_env(),
+        fault_log=os.environ.get(ENV_FAULT_LOG), reliable=flag(RELIABLE),
+        group_map=group_map_from_env(size),
+    )
+    # Stream transports start their acceptor here; shm segments are
+    # created by the launcher before spawn, so attaching cannot race and
+    # there is nothing to establish.
+    establish = getattr(transport, "establish_mesh", None)
+    if establish is not None:
+        establish()
     from .resilience import detector_from_env
 
     detector = detector_from_env(transport, endpoint.engine, endpoint)
@@ -159,26 +179,13 @@ def _assemble_world(
     return World(comm, endpoint, _detector=detector)
 
 
-def init(thread_level: int = C.THREAD_MULTIPLE) -> World:
-    """Initialize this process as a rank (launcher env) or a singleton."""
-    if ENV_RANK not in os.environ:
-        fabric = InprocFabric(1)
-        endpoint = Endpoint(fabric.create_transport(0))
-        tele = telemetry_from_env(0)
-        if tele is not None:
-            install_on_endpoint(endpoint, tele)
-        comm = Comm(endpoint, Group([0]), context=0, thread_level=thread_level)
-        return World(comm, endpoint, fabric)
-
-    rank = int(os.environ[ENV_RANK])
-    size = int(os.environ[ENV_SIZE])
-
+def _wire_from_env(rank: int, size: int):
+    """The wire transport the launcher's environment asks for."""
     fabric_kind = os.environ.get(ENV_TRANSPORT, "tcp")
     if fabric_kind == "uds":
         from .transport.uds import UdsTransport
 
-        transport = UdsTransport(rank, size, os.environ[ENV_JOB])
-        return _assemble_world(transport, size, thread_level, establish=True)
+        return UdsTransport(rank, size, os.environ[ENV_JOB])
     if fabric_kind == "shm":
         from .topology import group_map_from_env
 
@@ -188,18 +195,10 @@ def init(thread_level: int = C.THREAD_MULTIPLE) -> World:
             # segments — cross-group traffic rides lazy UDS streams.
             from .fabric.hybrid import HybridTransport
 
-            transport = HybridTransport(
-                rank, size, os.environ[ENV_JOB], group_map
-            )
-            return _assemble_world(
-                transport, size, thread_level, establish=True
-            )
+            return HybridTransport(rank, size, os.environ[ENV_JOB], group_map)
         from .transport.shm import ShmTransport
 
-        # Segments are created by the launcher before spawn, so attaching
-        # here cannot race; no rendezvous needed.
-        transport = ShmTransport(rank, size, os.environ[ENV_JOB])
-        return _assemble_world(transport, size, thread_level, establish=False)
+        return ShmTransport(rank, size, os.environ[ENV_JOB])
 
     coord_host, coord_port = os.environ[ENV_COORD].rsplit(":", 1)
 
@@ -217,8 +216,20 @@ def init(thread_level: int = C.THREAD_MULTIPLE) -> World:
             buf += chunk
     port_map = {int(k): int(v) for k, v in json.loads(buf.decode()).items()}
 
-    transport = TcpTransport(rank, size, listen, port_map)
-    return _assemble_world(transport, size, thread_level, establish=True)
+    return TcpTransport(rank, size, listen, port_map)
+
+
+def init(thread_level: int = C.THREAD_MULTIPLE) -> World:
+    """Initialize this process as a rank (launcher env) or a singleton."""
+    if ENV_RANK not in os.environ:
+        fabric = InprocFabric(1)
+        endpoint = build_endpoint(fabric.create_transport(0))
+        comm = Comm(endpoint, Group([0]), context=0, thread_level=thread_level)
+        return World(comm, endpoint, fabric)
+
+    rank = int(os.environ[ENV_RANK])
+    size = int(os.environ[ENV_SIZE])
+    return _assemble_world(_wire_from_env(rank, size), size, thread_level)
 
 
 def run_on_threads(
@@ -262,25 +273,13 @@ def run_on_threads(
         parse_groups(groups, n) if groups else group_map_from_env(n)
     )
     fabric = InprocFabric(n)
-
-    def make_transport(r: int):
-        transport = fabric.create_transport(r)
-        if fault_plan is not None and fault_plan.active:
-            from ..faults import FaultyTransport
-
-            transport = FaultyTransport(transport, fault_plan)
-        if reliable:
-            from .reliability import ReliableTransport
-
-            transport = ReliableTransport(transport)
-        return transport
-
-    endpoints = [Endpoint(make_transport(r)) for r in range(n)]
-    for ep in endpoints:
-        ep.group_map = group_map
-        tele = telemetry_from_env(ep.world_rank)
-        if tele is not None:
-            install_on_endpoint(ep, tele)
+    endpoints = [
+        build_endpoint(
+            fabric.create_transport(r), fault_plan=fault_plan,
+            reliable=reliable, group_map=group_map,
+        )
+        for r in range(n)
+    ]
     group = Group(list(range(n)))
     comms = [
         Comm(ep, group, context=0, thread_level=thread_level)
@@ -321,10 +320,7 @@ def run_on_threads(
             f"{[t.name for t in alive]} (likely a collective mismatch)"
         )
     for ep in endpoints:
-        if ep.telemetry is not None and os.environ.get(ENV_OUT):
-            from ..telemetry.export import write_rank_dump
-
-            write_rank_dump(os.environ[ENV_OUT], ep.telemetry)
+        _dump_telemetry(ep)
         ep.close()
     fabric.close()
     for err in errors:

@@ -176,9 +176,9 @@ def serve_main(argv: list[str] | None = None) -> int:
 
         env_extra = {}
         if args.reliable:
-            from ..mpi.reliability import ENV_RELIABLE
+            from ..knobs import RELIABLE
 
-            env_extra[ENV_RELIABLE] = "1"
+            env_extra[RELIABLE.name] = "1"
         try:
             pool = ProcessRankPool(
                 args.pool_size, transport=args.transport,

@@ -9,10 +9,10 @@ jittered exponential backoff — a client racing the daemon's startup
 
 from __future__ import annotations
 
-import random
 import socket
 import time
 
+from ..backoff import backoff_s
 from .protocol import TERMINAL_STATES, JobSpec, read_message, write_message
 
 #: Connect/backoff defaults.
@@ -70,8 +70,9 @@ class ServiceClient:
                 return
             except OSError as exc:
                 last = exc
-                delay = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** attempt))
-                time.sleep(delay * random.uniform(0.5, 1.5))
+                time.sleep(backoff_s(
+                    attempt + 1, BACKOFF_BASE_S, BACKOFF_CAP_S, (0.5, 1.5)
+                ))
         target = self._socket_path or f"{self._tcp[0]}:{self._tcp[1]}"
         raise ConnectionError(
             f"could not reach benchmark service at {target} "

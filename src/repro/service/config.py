@@ -1,135 +1,30 @@
-"""Service tuning knobs: the ``OMBPY_SERVICE_*`` environment.
+"""Service configuration: the ``OMBPY_SERVICE_*`` knobs as one object.
 
-Mirrors the convention of the resilience knobs (``OMBPY_HB_*``,
-``OMBPY_REL_*``, ``OMBPY_ULFM_TIMEOUT``): every knob has a safe default,
-is read once at service start, and a malformed value fails fast with an
-error naming the variable and the accepted range — a daemon must not
-come up half-configured.
-
-| variable | default | meaning |
-|---|---|---|
-| ``OMBPY_SERVICE_QUEUE_DEPTH``     | 64    | max queued jobs before SUBMIT is REJECTED (backpressure) |
-| ``OMBPY_SERVICE_DEADLINE_S``      | 120.0 | default per-job wall-clock deadline, seconds |
-| ``OMBPY_SERVICE_RETRY_MAX``       | 1     | retry cap for retryable (rank-failure) jobs |
-| ``OMBPY_SERVICE_DRAIN_GRACE_S``   | 30.0  | seconds a drain waits for in-flight jobs before forcing shutdown |
-| ``OMBPY_SERVICE_RETRY_BACKOFF_MS``| 100.0 | initial retry backoff; doubles per attempt, capped at 5 s |
-
-The same values are overridable per run from the ``ombpy-serve`` command
-line, which wins over the environment.
+Every field is one row of :mod:`repro.knobs` (default, range, unit);
+``docs/service.md`` has the user-facing table.  The values are read
+once at service start and a malformed one fails fast naming the
+variable — a daemon must not come up half-configured.  The matching
+``ombpy-serve`` flags win over the environment.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-ENV_QUEUE_DEPTH = "OMBPY_SERVICE_QUEUE_DEPTH"
-ENV_DEADLINE = "OMBPY_SERVICE_DEADLINE_S"
-ENV_RETRY_MAX = "OMBPY_SERVICE_RETRY_MAX"
-ENV_DRAIN_GRACE = "OMBPY_SERVICE_DRAIN_GRACE_S"
-ENV_RETRY_BACKOFF = "OMBPY_SERVICE_RETRY_BACKOFF_MS"
+from .. import knobs
 
-#: Retry backoff ceiling: ``backoff = min(CAP, base * 2**attempt)``.
+#: Ceiling of the job-retry backoff (see :func:`repro.backoff.backoff_s`).
 RETRY_BACKOFF_CAP_S = 5.0
 
 
-def _env_int(name: str, default: int, minimum: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be an integer >= {minimum}, got {raw!r}"
-        ) from None
-    if value < minimum:
-        raise ValueError(
-            f"{name} must be an integer >= {minimum}, got {value}"
-        )
-    return value
-
-
-def _env_float(name: str, default: float, minimum: float,
-               exclusive: bool = False) -> float:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be a number {'>' if exclusive else '>='} "
-            f"{minimum} (seconds), got {raw!r}"
-        ) from None
-    if value < minimum or (exclusive and value == minimum):
-        raise ValueError(
-            f"{name} must be a number {'>' if exclusive else '>='} "
-            f"{minimum} (seconds), got {value}"
-        )
-    return value
-
-
 @dataclass(frozen=True)
-class ServiceConfig:
+class ServiceConfig(knobs.KnobConfig):
     """Validated service configuration (admission, deadlines, retries)."""
 
-    queue_depth: int = 64
-    default_deadline_s: float = 120.0
-    retry_max: int = 1
-    drain_grace_s: float = 30.0
-    retry_backoff_ms: float = 100.0
-
-    def __post_init__(self) -> None:
-        if self.queue_depth < 1:
-            raise ValueError(
-                f"queue depth must be >= 1, got {self.queue_depth}"
-            )
-        if self.default_deadline_s <= 0:
-            raise ValueError(
-                f"default deadline must be > 0 seconds, "
-                f"got {self.default_deadline_s}"
-            )
-        if self.retry_max < 0:
-            raise ValueError(
-                f"retry cap must be >= 0, got {self.retry_max}"
-            )
-        if self.drain_grace_s < 0:
-            raise ValueError(
-                f"drain grace must be >= 0 seconds, "
-                f"got {self.drain_grace_s}"
-            )
-        if self.retry_backoff_ms <= 0:
-            raise ValueError(
-                f"retry backoff must be > 0 ms, "
-                f"got {self.retry_backoff_ms}"
-            )
-
-    def retry_backoff_s(self, attempt: int) -> float:
-        """Capped-exponential backoff before retry number ``attempt``."""
-        base = self.retry_backoff_ms / 1000.0
-        return min(RETRY_BACKOFF_CAP_S, base * (2 ** max(0, attempt - 1)))
-
-    @classmethod
-    def from_env(cls, **overrides) -> "ServiceConfig":
-        """Build from ``OMBPY_SERVICE_*``; ``overrides`` (CLI flags) win.
-
-        Raises ``ValueError`` naming the offending variable on any
-        malformed or out-of-range value.
-        """
-        values = {
-            "queue_depth": _env_int(ENV_QUEUE_DEPTH, cls.queue_depth, 1),
-            "default_deadline_s": _env_float(
-                ENV_DEADLINE, cls.default_deadline_s, 0.0, exclusive=True
-            ),
-            "retry_max": _env_int(ENV_RETRY_MAX, cls.retry_max, 0),
-            "drain_grace_s": _env_float(
-                ENV_DRAIN_GRACE, cls.drain_grace_s, 0.0
-            ),
-            "retry_backoff_ms": _env_float(
-                ENV_RETRY_BACKOFF, cls.retry_backoff_ms, 0.0,
-                exclusive=True,
-            ),
-        }
-        values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**values)
+    queue_depth: int = knobs.knob_field(knobs.SERVICE_QUEUE_DEPTH)
+    default_deadline_s: float = knobs.knob_field(knobs.SERVICE_DEADLINE_S)
+    retry_max: int = knobs.knob_field(knobs.SERVICE_RETRY_MAX)
+    drain_grace_s: float = knobs.knob_field(knobs.SERVICE_DRAIN_GRACE_S)
+    retry_backoff_ms: float = knobs.knob_field(
+        knobs.SERVICE_RETRY_BACKOFF_MS
+    )

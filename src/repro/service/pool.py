@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from ..mpi.comm import Comm, Endpoint
 from ..mpi.group import Group
 from ..mpi.transport.inproc import InprocFabric
-from ..telemetry import install_on_endpoint, telemetry_from_env
+from ..mpi.world import build_endpoint
 from .protocol import KIND_SLEEP, table_to_wire
 
 #: Job contexts: ``(serial << SHIFT) | SALT``.  The base communicator
@@ -115,22 +115,13 @@ class ThreadRankPool:
         self.size = size
         self.events: queue.Queue = queue.Queue()
         self._fabric = InprocFabric(size)
-        self._endpoints: list[Endpoint] = []
-        for rank in range(size):
-            transport = self._fabric.create_transport(rank)
-            if fault_plan is not None and fault_plan.active:
-                from ..faults import FaultyTransport
-
-                transport = FaultyTransport(transport, fault_plan)
-            if reliable:
-                from ..mpi.reliability import ReliableTransport
-
-                transport = ReliableTransport(transport)
-            endpoint = Endpoint(transport)
-            tele = telemetry_from_env(rank)
-            if tele is not None:
-                install_on_endpoint(endpoint, tele)
-            self._endpoints.append(endpoint)
+        self._endpoints: list[Endpoint] = [
+            build_endpoint(
+                self._fabric.create_transport(rank), fault_plan=fault_plan,
+                reliable=reliable,
+            )
+            for rank in range(size)
+        ]
         self._lock = threading.Lock()
         self._free: set[int] = set(range(size))
         self._dead: set[int] = set()

@@ -26,10 +26,10 @@ import threading
 import time
 import sys
 
+from ..knobs import ENV_SERVICE_CTRL
 from ..mpi.launcher import spawn_ranks
 from .pool import JobRun
 from .protocol import read_message, write_message
-from .worker import ENV_CTRL
 
 
 class ProcessRankPool:
@@ -63,7 +63,7 @@ class ProcessRankPool:
         self._listener.settimeout(0.2)
         self._conn: socket.socket | None = None
         env = dict(env_extra or {})
-        env[ENV_CTRL] = self._ctrl_path
+        env[ENV_SERVICE_CTRL] = self._ctrl_path
         self._handle = spawn_ranks(
             size,
             [sys.executable, "-m", "repro.service.worker"],

@@ -37,9 +37,10 @@ import socket
 import threading
 import time
 
+from ..backoff import backoff_s
 from ..telemetry import MetricsRegistry, merge_snapshots
 from . import protocol
-from .config import ServiceConfig
+from .config import RETRY_BACKOFF_CAP_S, ServiceConfig
 from .pool import JobRun, ThreadRankPool, job_context
 from .protocol import (
     ACCEPTED, CANCELLED, DEADLINE, DONE, ERROR, FAILED, JobSpec, QUEUED,
@@ -492,7 +493,10 @@ class BenchmarkService:
         rec.run = None
         rec.deadline_at = None
         rec.error = f"retrying after rank failure: {error}"
-        due = time.monotonic() + self.config.retry_backoff_s(rec.attempts)
+        due = time.monotonic() + backoff_s(
+            rec.attempts, self.config.retry_backoff_ms / 1000.0,
+            RETRY_BACKOFF_CAP_S,
+        )
         heapq.heappush(self._retry_heap, (due, rec.job_id))
         self._changed.notify_all()
 

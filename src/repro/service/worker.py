@@ -30,11 +30,10 @@ import os
 import socket
 import sys
 
+from ..knobs import ENV_SERVICE_CTRL
 from ..mpi import world as mpi_world
 from ..mpi.exceptions import CommRevokedError, RankFailedError
 from .protocol import JobSpec, KIND_SLEEP, encode, read_message, table_to_wire
-
-ENV_CTRL = "OMBPY_SERVICE_CTRL"
 
 _RECOVERABLE = (RankFailedError, CommRevokedError)
 
@@ -79,9 +78,9 @@ def _run_job(base, spec: JobSpec) -> tuple[dict | None, str | None]:
 
 
 def main() -> int:
-    ctrl_path = os.environ.get(ENV_CTRL)
+    ctrl_path = os.environ.get(ENV_SERVICE_CTRL)
     if not ctrl_path:
-        print("repro.service.worker: OMBPY_SERVICE_CTRL not set",
+        print(f"repro.service.worker: {ENV_SERVICE_CTRL} not set",
               file=sys.stderr)
         return 2
     world = mpi_world.init()

@@ -9,7 +9,7 @@ matching, collectives, reliability, ULFM recovery) report into:
   Chrome ``chrome://tracing`` JSON (one pid per rank) and compact JSONL;
 * :mod:`repro.telemetry.runtime` — the per-rank :class:`Telemetry`
   facade the runtime hooks call, plus endpoint install/uninstall and the
-  ``OMBPY_METRICS``/``OMBPY_TRACE``/``OMBPY_TELEMETRY_OUT`` knobs;
+  ``OMBPY_METRICS``/``OMBPY_TRACE`` switches (:mod:`repro.knobs`);
 * :mod:`repro.telemetry.export` — whole-job assembly: control-plane
   gather to rank 0, launcher-side per-rank dump merge, ``metrics.json``
   / ``trace.json`` writers, and the end-of-job summary table.
@@ -24,16 +24,13 @@ from .metrics import (
     snapshot_from_bytes, snapshot_to_bytes,
 )
 from .runtime import (
-    ENV_METRICS, ENV_OUT, ENV_TRACE, SCHEMA, Telemetry,
-    install_on_endpoint, telemetry_from_env, uninstall_from_endpoint,
+    SCHEMA, Telemetry, install_on_endpoint, telemetry_from_env,
+    uninstall_from_endpoint,
 )
 from .tracer import Tracer
 
 __all__ = [
     "Counter",
-    "ENV_METRICS",
-    "ENV_OUT",
-    "ENV_TRACE",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -27,24 +27,12 @@ API alive on top of this layer.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 
+from ..knobs import METRICS, TRACE, TRACE_MAX_EVENTS, flag, read
 from .metrics import MetricsRegistry
-from .tracer import DEFAULT_MAX_EVENTS, Tracer
-
-#: Enable the metrics registry in every rank assembled by the world
-#: bootstrap (set by ``ombpy-run --metrics`` / ``ombpy --metrics``).
-ENV_METRICS = "OMBPY_METRICS"
-#: Enable the span tracer (set by ``--trace-out``).
-ENV_TRACE = "OMBPY_TRACE"
-#: Path base for per-rank dump files written at ``World.finalize`` —
-#: rank r writes ``<base>.rank<r>.json``.  Set by the launcher, which
-#: merges the dumps into the job-level ``metrics.json``/``trace.json``.
-ENV_OUT = "OMBPY_TELEMETRY_OUT"
-#: Override the tracer's event-buffer cap.
-ENV_TRACE_MAX = "OMBPY_TRACE_MAX_EVENTS"
+from .tracer import Tracer
 
 SCHEMA = "ombpy-telemetry/1"
 
@@ -66,7 +54,7 @@ class Telemetry:
         if trace:
             cap = (
                 max_trace_events if max_trace_events is not None
-                else int(os.environ.get(ENV_TRACE_MAX, DEFAULT_MAX_EVENTS))
+                else read(TRACE_MAX_EVENTS)
             )
             self.tracer: Tracer | None = Tracer(rank, max_events=cap)
         else:
@@ -242,9 +230,8 @@ def telemetry_from_env(rank: int) -> Telemetry | None:
     hook sites' None checks) when neither variable is set.  Tracing
     implies metrics: the job summary table needs the counters.
     """
-    metrics = os.environ.get(ENV_METRICS, "") not in ("", "0")
-    trace = os.environ.get(ENV_TRACE, "") not in ("", "0")
-    if not metrics and not trace:
+    trace = flag(TRACE)
+    if not trace and not flag(METRICS):
         return None
     return Telemetry(rank, metrics=True, trace=trace)
 

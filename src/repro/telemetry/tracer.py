@@ -18,7 +18,7 @@ deltas clamped non-negative.  Within one thread events are recorded at
 completion time, so per-``(pid, tid)`` *end* times are non-decreasing —
 the invariant ``tools/validate_trace.py`` checks.
 
-The event buffer is bounded (:data:`DEFAULT_MAX_EVENTS`); once full,
+The event buffer is bounded (``OMBPY_TRACE_MAX_EVENTS``); once full,
 further events are counted in :attr:`Tracer.dropped` rather than
 recorded, so a long benchmark cannot exhaust memory.
 """
@@ -29,9 +29,7 @@ import threading
 import time
 from contextlib import contextmanager
 
-#: Event-buffer cap per rank.  ~80 bytes/event in memory, so the default
-#: bounds a rank at roughly 16 MB of trace state.
-DEFAULT_MAX_EVENTS = 200_000
+from ..knobs import TRACE_MAX_EVENTS
 
 # Event record layout (list, JSON-ready):
 #   [ph, name, cat, ts_ns, dur_ns, tid, args]
@@ -43,9 +41,12 @@ PH_INSTANT = "i"
 class Tracer:
     """Per-rank event recorder."""
 
-    def __init__(self, rank: int, max_events: int = DEFAULT_MAX_EVENTS) -> None:
-        if max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
+    def __init__(
+        self, rank: int, max_events: int = TRACE_MAX_EVENTS.default
+    ) -> None:
+        # ~80 bytes/event in memory, so the default cap bounds a rank at
+        # roughly 16 MB of trace state.
+        TRACE_MAX_EVENTS.check(max_events, what="max_events")
         self.rank = rank
         self.max_events = max_events
         self.dropped = 0

@@ -6,9 +6,9 @@ import os
 import pytest
 
 from repro.campaign import cli
-from repro.campaign.config import ENV_CONCURRENCY
 from repro.campaign.journal import CAMPAIGN_RESUMED, CELL_DONE, replay
 from repro.campaign.store import JOURNAL_FILE, SPEC_FILE, ResultsStore
+from repro.knobs import CAMPAIGN_CONCURRENCY
 
 SPEC_DOC = {
     "name": "cli-e2e",
@@ -112,13 +112,13 @@ def test_resume_without_journal_refused(out_dir, capsys):
 
 def test_bad_env_knob_fails_fast_naming_variable(spec_file, out_dir,
                                                  monkeypatch, capsys):
-    monkeypatch.setenv(ENV_CONCURRENCY, "0")
+    monkeypatch.setenv(CAMPAIGN_CONCURRENCY.name, "0")
     assert cli.main(["run", spec_file, "--out", out_dir, *KNOBS]) == 2
-    assert ENV_CONCURRENCY in capsys.readouterr().err
+    assert CAMPAIGN_CONCURRENCY.name in capsys.readouterr().err
 
 
 def test_cli_knob_overrides_env(spec_file, out_dir, monkeypatch):
-    monkeypatch.setenv(ENV_CONCURRENCY, "0")  # invalid, but overridden
+    monkeypatch.setenv(CAMPAIGN_CONCURRENCY.name, "0")  # invalid, but overridden
     assert cli.main(["run", spec_file, "--out", out_dir,
                      "--concurrency", "1", *KNOBS]) == 0
 
@@ -127,14 +127,12 @@ def test_report_gate_failure_exits_nonzero(spec_file, out_dir, tmp_path,
                                            capsys):
     assert cli.main(["run", spec_file, "--out", out_dir, *KNOBS]) == 0
     capsys.readouterr()
-    # A snapshot baseline claiming latency used to be 1000x lower.
+    # A prior campaign's store claiming latency used to be far lower.
     records = ResultsStore(out_dir).load()
-    sizes = [row["size"] for row in records[0]["rows"]]
-    baseline = tmp_path / "BENCH_fast.json"
-    baseline.write_text(json.dumps({
-        "results": {"osu_latency": {"sizes": sizes,
-                                    "off": [1e-9] * len(sizes)}}
-    }))
+    for row in records[0]["rows"]:
+        row["value"] = 1e-9
+    baseline = tmp_path / "results.jsonl"
+    baseline.write_text(json.dumps(records[0]) + "\n")
     assert cli.main(["report", out_dir, "--gate", str(baseline)]) == 1
     assert "REGRESSION" in capsys.readouterr().out
 

@@ -11,7 +11,7 @@ import random
 import threading
 
 from repro.campaign import backends as bk
-from repro.campaign.config import RETRY_BACKOFF_CAP_S, CampaignConfig
+from repro.campaign.config import CampaignConfig
 from repro.campaign.journal import (
     CAMPAIGN_BEGIN, CAMPAIGN_RESUMED, CELL_DONE, CELL_PLANNED,
     CELL_QUARANTINED, Journal, replay,
@@ -204,12 +204,6 @@ class TestRetry:
         for index, delay in enumerate(delays):
             nominal = 0.1 * (2 ** index)
             assert 0.5 * nominal <= delay <= 1.5 * nominal
-
-    def test_backoff_is_capped(self):
-        config = CampaignConfig(retry_backoff_ms=1000.0)
-        assert config.retry_backoff_s(50) == RETRY_BACKOFF_CAP_S
-        rng = random.Random(3)
-        assert config.retry_backoff_s(50, rng) <= 1.5 * RETRY_BACKOFF_CAP_S
 
 
 class TestQuarantine:

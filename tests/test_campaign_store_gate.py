@@ -102,12 +102,12 @@ def record(benchmark="osu_latency", transport="threads", ranks=2,
 
 class TestGate:
     def test_within_threshold_passes(self):
-        baseline = {"osu_latency": {1: 2.0, 16: 3.0}}
+        baseline = {"osu_latency/threads/n2": {1: 2.0, 16: 3.0}}
         result = check([record()], baseline)
         assert result.ok and result.checked == 1
 
     def test_latency_slowdown_fails(self):
-        baseline = {"osu_latency": {1: 1.0, 16: 1.0}}
+        baseline = {"osu_latency/threads/n2": {1: 1.0, 16: 1.0}}
         result = check([record()], baseline, threshold=1.5)
         assert not result.ok
         regression = result.regressions[0]
@@ -119,7 +119,7 @@ class TestGate:
         # Bandwidth *dropping* is the regression; values above baseline
         # must pass.
         rows = [{"size": 1, "value": 100.0}]
-        baseline = {"osu_bw": {1: 300.0}}
+        baseline = {"osu_bw/threads/n2": {1: 300.0}}
         bad = check([record(benchmark="osu_bw", metric="bandwidth_mbs",
                             rows=rows)], baseline, threshold=1.5)
         assert not bad.ok and bad.regressions[0].slowdown == 3.0
@@ -133,29 +133,11 @@ class TestGate:
             check([], {}, threshold=1.0)
 
     def test_absent_series_and_sizes_skipped_not_failed(self):
-        baseline = {"osu_latency": {512: 1.0}}      # no common size
+        baseline = {"osu_latency/threads/n2": {512: 1.0}}   # no common size
         result = check([record(), record(benchmark="osu_allreduce")],
                        baseline)
         assert result.ok and result.checked == 0
         assert len(result.skipped) == 2
-
-    def test_composite_key_preferred_over_bare_benchmark(self):
-        baseline = {
-            "osu_latency": {1: 0.001},                  # would regress
-            "osu_latency/threads/n2": {1: 2.0},         # exact match: fine
-        }
-        result = check([record(rows=[{"size": 1, "value": 2.0}])],
-                       baseline)
-        assert result.ok and result.checked == 1
-
-    def test_load_snapshot_baseline(self, tmp_path):
-        path = tmp_path / "BENCH_telemetry.json"
-        path.write_text(json.dumps({
-            "results": {"osu_latency": {"sizes": [1, 16],
-                                        "off": [2.0, 3.0]}}
-        }))
-        assert load_baseline(str(path)) == {"osu_latency": {1: 2.0,
-                                                            16: 3.0}}
 
     def test_load_campaign_baseline(self, tmp_path):
         store = ResultsStore(str(tmp_path))

@@ -9,7 +9,7 @@ import pytest
 @pytest.fixture
 def MPI(monkeypatch):
     """Fresh compat module with a singleton world, finalized after."""
-    from repro.mpi.world import ENV_RANK
+    from repro.knobs import ENV_RANK
 
     monkeypatch.delenv(ENV_RANK, raising=False)
     from repro.compat import MPI as mpi_mod

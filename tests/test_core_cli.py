@@ -116,7 +116,7 @@ class TestCli:
         assert "no simulation mapping" in capsys.readouterr().err
 
     def test_singleton_world_runs_barrier(self, capsys, monkeypatch):
-        from repro.mpi.world import ENV_RANK
+        from repro.knobs import ENV_RANK
 
         monkeypatch.delenv(ENV_RANK, raising=False)
         # osu_barrier needs >= 2 ranks; expect clean error (exception is

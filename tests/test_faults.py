@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import (
-    ENV_BACKSTOP_MS, CrashSpec, FaultEvent, FaultPlan, FaultyTransport,
-    InjectedCrash,
+    CrashSpec, FaultEvent, FaultPlan, FaultyTransport, InjectedCrash,
 )
 from repro.mpi.matching import Envelope, MatchingEngine
 from repro.mpi.transport.base import (
@@ -120,16 +119,16 @@ class TestBackstop:
 
     def test_env_knob_overrides_plan(self, monkeypatch):
         plan = FaultPlan(seed=0, delay=0.1, backstop_ms=400.0)
-        monkeypatch.delenv(ENV_BACKSTOP_MS, raising=False)
+        monkeypatch.delenv("OMBPY_FAULT_BACKSTOP_MS", raising=False)
         faulty = FaultyTransport(RecordingTransport(), plan)
         assert faulty.max_hold_seconds == pytest.approx(0.4)
         faulty.close()
-        monkeypatch.setenv(ENV_BACKSTOP_MS, "50")
+        monkeypatch.setenv("OMBPY_FAULT_BACKSTOP_MS", "50")
         faulty = FaultyTransport(RecordingTransport(), plan)
         assert faulty.max_hold_seconds == pytest.approx(0.05)
         faulty.close()
-        monkeypatch.setenv(ENV_BACKSTOP_MS, "-1")
-        with pytest.raises(ValueError, match="must be > 0 ms"):
+        monkeypatch.setenv("OMBPY_FAULT_BACKSTOP_MS", "-1")
+        with pytest.raises(ValueError, match="OMBPY_FAULT_BACKSTOP_MS must be"):
             FaultyTransport(RecordingTransport(), plan)
 
     def test_backstop_releases_stranded_held_message(self):

@@ -7,9 +7,7 @@ import threading
 import pytest
 
 from repro.mpi.fabric import FdBudget, check_fd_budget, plan_fd_budget
-from repro.mpi.fabric.stream import ENV_MAX_CONNS
 from repro.mpi.topology import (
-    ENV_GROUPS,
     GroupMap,
     TopologyError,
     group_map_from_env,
@@ -72,9 +70,9 @@ class TestGroupMap:
             parse_groups("banana", 8)
 
     def test_group_map_from_env(self, monkeypatch):
-        monkeypatch.delenv(ENV_GROUPS, raising=False)
+        monkeypatch.delenv("OMBPY_GROUPS", raising=False)
         assert group_map_from_env(8) is None
-        monkeypatch.setenv(ENV_GROUPS, "2x4")
+        monkeypatch.setenv("OMBPY_GROUPS", "2x4")
         gmap = group_map_from_env(8)
         assert gmap is not None and gmap.n_groups == 2
 
@@ -204,12 +202,21 @@ class TestLazyStreamFabric:
             for e in endpoints:
                 e.close()
 
+    def test_malformed_budget_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("OMBPY_FABRIC_MAX_CONNS", "two")
+        listen = TcpTransport.bind_ephemeral()
+        try:
+            with pytest.raises(ValueError, match="OMBPY_FABRIC_MAX_CONNS"):
+                TcpTransport(0, 1, listen, {0: listen.getsockname()[1]})
+        finally:
+            listen.close()
+
     def test_lru_eviction_and_transparent_redial(self, monkeypatch):
         # No receives are posted until the end: a posted receive
         # ensure_peer()s a dial-back channel to the sender, which would
         # muddy rank 0's open-channel accounting.  Unposted sends just
         # land in the receivers' unexpected queues.
-        monkeypatch.setenv(ENV_MAX_CONNS, "1")
+        monkeypatch.setenv("OMBPY_FABRIC_MAX_CONNS", "1")
         transports, endpoints, comms = _tcp_world(3)
         try:
             comms[0].send_bytes(b"one", 1, 1)
@@ -260,3 +267,57 @@ class TestLazyStreamFabric:
         finally:
             for e in endpoints:
                 e.close()
+
+
+class TestHybridTransport:
+    def test_rings_in_group_streams_across_on_the_shared_body(self):
+        """A grouped shm world: ring peers go over shm, the rest over the
+        stream body inherited (not re-implemented) from ``UdsTransport``."""
+        import os
+
+        from repro.mpi.comm import Comm, Endpoint
+        from repro.mpi.fabric.hybrid import HybridTransport
+        from repro.mpi.fabric.stream import StreamTransport
+        from repro.mpi.group import Group
+        from repro.mpi.transport.shm import (
+            create_job_segments, destroy_job_segments,
+        )
+        from repro.mpi.transport.uds import socket_dir, socket_path
+
+        for name in ("ensure_peer", "connected_peers", "connection_stats",
+                     "establish_mesh"):
+            assert name not in vars(TcpTransport)
+            assert getattr(TcpTransport, name) is getattr(StreamTransport, name)
+
+        job = f"testjob-hybrid-{os.getpid()}"
+        gmap = parse_groups("2x2", 4)
+        segments = create_job_segments(
+            job, 4, capacity=1 << 16, pairs=intra_group_pairs(gmap),
+        )
+        endpoints = []
+        try:
+            transports = [HybridTransport(r, 4, job, gmap) for r in range(4)]
+            endpoints = [Endpoint(t) for t in transports]
+            for t in transports:
+                t.establish_mesh()
+            comms = [Comm(e, Group([0, 1, 2, 3])) for e in endpoints]
+            assert transports[0].connected_peers() == [1]      # ring only
+            for dest, tag in ((1, 1), (2, 2)):                 # ring, stream
+                th, res = _recv_in_thread(comms[dest], 0, tag, 64)
+                comms[0].send_bytes(b"hop", dest, tag)
+                th.join(10)
+                assert res.get("data") == b"hop"
+            assert transports[0].connected_peers() == [1, 2]
+            stats = transports[0].connection_stats()
+            assert stats["shm_peers"] == 1
+            # The one stream is ours or rank 2's receive-side dial-back,
+            # whichever connected first.
+            assert stats["dials"] + stats["accepts"] >= 1
+            path = socket_path(job, 0)
+            assert os.path.exists(path)
+        finally:
+            for e in endpoints:
+                e.close()
+            destroy_job_segments(segments)
+        assert not os.path.exists(path)
+        os.rmdir(socket_dir(job))   # the launcher's job, normally

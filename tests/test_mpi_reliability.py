@@ -19,9 +19,7 @@ from hypothesis import strategies as st
 from repro.faults import FaultPlan
 from repro.mpi.exceptions import RankFailedError
 from repro.mpi.matching import Envelope, MatchingEngine
-from repro.mpi.reliability import (
-    ENV_RELIABLE, FRAME_SIZE, ReliableTransport, reliable_from_env,
-)
+from repro.mpi.reliability import FRAME_SIZE, ReliableTransport
 from repro.mpi.transport.base import CONTROL_CONTEXT, Transport
 from repro.mpi.world import reliability_stats, run_on_threads
 
@@ -188,16 +186,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_retries"):
             ReliableTransport(wire, max_retries=0)
 
-    def test_reliable_from_env_gating(self, monkeypatch):
-        wire = _Wire(0)
-        monkeypatch.delenv(ENV_RELIABLE, raising=False)
-        assert reliable_from_env(wire) is wire
-        monkeypatch.setenv(ENV_RELIABLE, "0")
-        assert reliable_from_env(wire) is wire
-        monkeypatch.setenv(ENV_RELIABLE, "1")
-        wrapped = reliable_from_env(wire)
-        assert isinstance(wrapped, ReliableTransport)
-        assert wrapped.inner is wire
+    def test_env_knobs(self, monkeypatch):
+        monkeypatch.setenv("OMBPY_REL_RTO_MS", "20")
+        monkeypatch.setenv("OMBPY_REL_MAX_RETRIES", "3")
+        rel = ReliableTransport(_Wire(0))
+        assert (rel.rto_initial, rel.max_retries) == (0.02, 3)
+        # 0 ms used to be silently replaced by the default.
+        monkeypatch.setenv("OMBPY_REL_RTO_MS", "0")
+        with pytest.raises(ValueError, match="OMBPY_REL_RTO_MS"):
+            ReliableTransport(_Wire(0))
+        # Explicit arguments win without consulting the variable.
+        assert ReliableTransport(_Wire(0), rto_initial=0.01).rto_initial \
+            == 0.01
 
     def test_stats_helper_walks_the_stack(self):
         (r0, _r1), (w0, _w1), _ = make_pair()

@@ -13,7 +13,8 @@ import pytest
 
 from repro.faults import CrashSpec, FaultPlan
 from repro.mpi import RankFailedError, run_on_threads
-from repro.mpi.exceptions import ERR_PROC_FAILED, InternalError
+from repro.mpi.exceptions import ERR_PROC_FAILED
+from repro.mpi.fabric.stream import dial
 from repro.mpi.matching import Envelope, MatchingEngine
 from repro.mpi.resilience import FailureDetector, detector_from_env
 from repro.mpi.transport.base import (
@@ -153,6 +154,16 @@ class TestFailureDetectorUnit:
         monkeypatch.setenv("OMBPY_HB_DISABLE", "1")
         assert detector_from_env(transport, engine) is None
 
+    @pytest.mark.parametrize("var,value", [
+        ("OMBPY_HB_INTERVAL", "abc"),   # used to die without naming it
+        ("OMBPY_HB_INTERVAL", "0"),
+        ("OMBPY_HB_TIMEOUT", "-1"),     # used to be accepted
+    ])
+    def test_env_knobs_reject_bad_values(self, monkeypatch, var, value):
+        monkeypatch.setenv(var, value)
+        with pytest.raises(ValueError, match=var):
+            detector_from_env(LoopbackTransport(), MatchingEngine())
+
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError, match="interval"):
             FailureDetector(LoopbackTransport(), MatchingEngine(), interval=0)
@@ -202,49 +213,45 @@ class TestThreadsChaos:
 
 
 class TestDialRetry:
+    """The stream fabric's one dial loop (``fabric.stream.dial``)."""
+
     def test_retries_until_listener_appears(self):
-        from repro.mpi.transport.tcp import dial_with_retry
+        import errno
 
         attempts = []
 
         def connect():
             attempts.append(time.monotonic())
-            if len(attempts) < 4:
+            if len(attempts) < 3:
+                raise FileNotFoundError(errno.ENOENT, "no socket file yet")
+            if len(attempts) < 5:
                 raise ConnectionRefusedError("not yet")
             return "connected"
 
-        result = dial_with_retry(
-            connect, timeout=10, describe="test peer",
-            initial_backoff=0.005, max_backoff=0.02,
+        result = dial(
+            connect, timeout=10, startup_errnos=frozenset({errno.ENOENT}),
         )
         assert result == "connected"
-        assert len(attempts) == 4
+        assert len(attempts) == 5
 
     def test_gives_up_at_deadline(self):
-        from repro.mpi.transport.tcp import dial_with_retry
-
         def connect():
             raise ConnectionRefusedError("never")
 
-        with pytest.raises(InternalError, match="test peer"):
-            dial_with_retry(
-                connect, timeout=0.2, describe="test peer",
-                initial_backoff=0.01, max_backoff=0.05,
-            )
+        start = time.monotonic()
+        with pytest.raises(ConnectionRefusedError, match="never"):
+            dial(connect, timeout=0.2)
+        assert 0.2 <= time.monotonic() - start < 2.0
 
     def test_non_transient_error_raises_immediately(self):
-        from repro.mpi.transport.tcp import dial_with_retry
-
         attempts = []
 
         def connect():
             attempts.append(1)
             raise OSError(13, "permission denied")
 
-        with pytest.raises(InternalError):
-            dial_with_retry(
-                connect, timeout=5, describe="x", initial_backoff=0.01,
-            )
+        with pytest.raises(PermissionError):
+            dial(connect, timeout=5)
         assert len(attempts) == 1
 
 

@@ -201,7 +201,8 @@ class TestUdsLauncher:
 
 class TestSingletonInit:
     def test_init_without_env_is_single_rank(self, monkeypatch):
-        from repro.mpi.world import ENV_RANK, init
+        from repro.knobs import ENV_RANK
+        from repro.mpi.world import init
 
         monkeypatch.delenv(ENV_RANK, raising=False)
         world = init()

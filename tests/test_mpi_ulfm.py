@@ -319,14 +319,14 @@ class TestFaultTolerantKmeansHPO:
 
 class TestRecoveryTimeout:
     def test_env_validation(self, monkeypatch):
-        monkeypatch.setenv(ulfm.ENV_ULFM_TIMEOUT, "-3")
-        with pytest.raises(ValueError, match="must be > 0"):
+        monkeypatch.setenv("OMBPY_ULFM_TIMEOUT", "-3")
+        with pytest.raises(ValueError, match="OMBPY_ULFM_TIMEOUT must be"):
             ulfm._recovery_timeout(None)
 
     def test_env_and_default(self, monkeypatch):
-        monkeypatch.delenv(ulfm.ENV_ULFM_TIMEOUT, raising=False)
-        assert ulfm._recovery_timeout(None) == ulfm.DEFAULT_TIMEOUT
-        monkeypatch.setenv(ulfm.ENV_ULFM_TIMEOUT, "2.5")
+        monkeypatch.delenv("OMBPY_ULFM_TIMEOUT", raising=False)
+        assert ulfm._recovery_timeout(None) == 30.0
+        monkeypatch.setenv("OMBPY_ULFM_TIMEOUT", "2.5")
         assert ulfm._recovery_timeout(None) == 2.5
         assert ulfm._recovery_timeout(7.0) == 7.0  # explicit wins
 

@@ -12,7 +12,7 @@ from repro.mpi.world import init, run_on_processes, run_on_threads
 
 class TestWorldLifecycle:
     def test_context_manager_finalizes(self, monkeypatch):
-        from repro.mpi.world import ENV_RANK
+        from repro.knobs import ENV_RANK
 
         monkeypatch.delenv(ENV_RANK, raising=False)
         with init() as world:
@@ -25,7 +25,7 @@ class TestWorldLifecycle:
         world.finalize()  # idempotent
 
     def test_thread_level_propagates(self, monkeypatch):
-        from repro.mpi.world import ENV_RANK
+        from repro.knobs import ENV_RANK
 
         monkeypatch.delenv(ENV_RANK, raising=False)
         world = init(thread_level=C.THREAD_SINGLE)
@@ -37,6 +37,59 @@ class TestWorldLifecycle:
     def test_run_on_threads_returns_in_rank_order(self):
         results = run_on_threads(5, lambda c: c.rank * 10)
         assert results == [0, 10, 20, 30, 40]
+
+    def test_every_entry_path_stacks_reliable_over_faulty_over_wire(
+        self, monkeypatch
+    ):
+        """One stack order (``build_endpoint``), whoever assembles it."""
+        import os
+
+        from repro import knobs
+        from repro.faults import FaultPlan
+        from repro.mpi.transport.uds import socket_dir
+        from repro.service.pool import ThreadRankPool
+
+        def chain(transport):
+            names = []
+            while transport is not None:
+                names.append(type(transport).__name__)
+                transport = getattr(transport, "inner", None)
+            return names
+
+        plan = FaultPlan.chaos(1)
+        assert plan.active
+
+        threads = run_on_threads(
+            2, lambda c: chain(c.endpoint.transport),
+            fault_plan=plan, reliable=True,
+        )
+        expected = ["ReliableTransport", "FaultyTransport", "InprocTransport"]
+        assert threads == [expected, expected]
+
+        pool = ThreadRankPool(2, fault_plan=plan, reliable=True)
+        try:
+            assert [chain(e.transport) for e in pool._endpoints] \
+                == [expected, expected]
+        finally:
+            pool.stop()
+
+        # The launcher path, as a one-rank uds world in this process.
+        job = f"stack-order-{os.getpid()}"
+        for name, value in (
+            (knobs.ENV_RANK, "0"), (knobs.ENV_SIZE, "1"),
+            (knobs.ENV_TRANSPORT, "uds"), (knobs.ENV_JOB, job),
+            (knobs.ENV_FAULT_SEED, "1"), (knobs.RELIABLE.name, "1"),
+        ):
+            monkeypatch.setenv(name, value)
+        try:
+            with init() as world:
+                assert chain(world.endpoint.transport) == [
+                    "ReliableTransport", "FaultyTransport", "UdsTransport",
+                ]
+                assert world.endpoint.transport.innermost().detector \
+                    is not None
+        finally:
+            os.rmdir(socket_dir(job))   # the launcher's job, normally
 
 
 @pytest.mark.slow

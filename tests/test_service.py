@@ -13,12 +13,10 @@ import time
 
 import pytest
 
+from repro import knobs
 from repro.core.results import ResultRow, ResultTable
 from repro.service import BenchmarkService, JobSpec, ServiceClient, ServiceConfig
 from repro.service.client import ServiceError
-from repro.service.config import (
-    ENV_DEADLINE, ENV_DRAIN_GRACE, ENV_QUEUE_DEPTH, ENV_RETRY_MAX,
-)
 from repro.service.pool import MAX_JOB_SERIAL, ThreadRankPool, job_context
 from repro.service.protocol import (
     CANCELLED, DEADLINE, DONE, FAILED, KIND_SLEEP, table_from_wire,
@@ -49,42 +47,46 @@ def client(service):
 
 
 class TestConfig:
-    def test_defaults(self):
+    """``ServiceConfig`` is the knob table's rows as fields; parsing and
+    ranges are covered per row in ``test_knobs.py``."""
+
+    def test_defaults(self, monkeypatch):
+        for name in knobs.TABLE:
+            monkeypatch.delenv(name, raising=False)
         cfg = ServiceConfig.from_env()
+        assert cfg == ServiceConfig()
         assert cfg.queue_depth == 64
         assert cfg.default_deadline_s == 120.0
         assert cfg.retry_max == 1
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_QUEUE_DEPTH, "7")
-        monkeypatch.setenv(ENV_DEADLINE, "3.5")
-        monkeypatch.setenv(ENV_RETRY_MAX, "0")
+        monkeypatch.setenv("OMBPY_SERVICE_QUEUE_DEPTH", "7")
+        monkeypatch.setenv("OMBPY_SERVICE_DEADLINE_S", "3.5")
+        monkeypatch.setenv("OMBPY_SERVICE_RETRY_MAX", "0")
         cfg = ServiceConfig.from_env()
         assert (cfg.queue_depth, cfg.default_deadline_s, cfg.retry_max) \
             == (7, 3.5, 0)
 
     def test_cli_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_QUEUE_DEPTH, "7")
+        # Even a malformed variable: the flag means it is never consulted.
+        monkeypatch.setenv("OMBPY_SERVICE_QUEUE_DEPTH", "nine")
         assert ServiceConfig.from_env(queue_depth=9).queue_depth == 9
+        # ...while a bad flag value is still refused, naming the field.
+        with pytest.raises(ValueError, match="queue_depth"):
+            ServiceConfig.from_env(queue_depth=0)
 
     @pytest.mark.parametrize("var,value", [
-        (ENV_QUEUE_DEPTH, "zero"),
-        (ENV_QUEUE_DEPTH, "0"),
-        (ENV_DEADLINE, "-1"),
-        (ENV_DEADLINE, "soon"),
-        (ENV_RETRY_MAX, "-2"),
-        (ENV_DRAIN_GRACE, "-0.1"),
+        ("OMBPY_SERVICE_QUEUE_DEPTH", "zero"),
+        ("OMBPY_SERVICE_QUEUE_DEPTH", "0"),
+        ("OMBPY_SERVICE_DEADLINE_S", "-1"),
+        ("OMBPY_SERVICE_DEADLINE_S", "soon"),
+        ("OMBPY_SERVICE_RETRY_MAX", "-2"),
+        ("OMBPY_SERVICE_DRAIN_GRACE_S", "-0.1"),
     ])
     def test_malformed_env_names_variable(self, monkeypatch, var, value):
         monkeypatch.setenv(var, value)
         with pytest.raises(ValueError, match=var):
             ServiceConfig.from_env()
-
-    def test_backoff_caps(self):
-        cfg = ServiceConfig(retry_backoff_ms=100.0)
-        assert cfg.retry_backoff_s(1) == pytest.approx(0.1)
-        assert cfg.retry_backoff_s(2) == pytest.approx(0.2)
-        assert cfg.retry_backoff_s(100) == 5.0
 
 
 class TestProtocol:

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.mpi.world import run_on_threads
-from repro.telemetry import ENV_METRICS, ENV_OUT, ENV_TRACE, telemetry_from_env
+from repro.telemetry import telemetry_from_env
 from repro.telemetry.export import (
     collect_job, merged_metrics, read_rank_dumps, render_summary,
     write_job_files, write_rank_dump,
@@ -22,8 +22,8 @@ from repro.telemetry.export import (
 @pytest.fixture
 def telemetry_env(monkeypatch):
     """Arm metrics + tracing for every rank the world bootstrap builds."""
-    monkeypatch.setenv(ENV_METRICS, "1")
-    monkeypatch.setenv(ENV_TRACE, "1")
+    monkeypatch.setenv("OMBPY_METRICS", "1")
+    monkeypatch.setenv("OMBPY_TRACE", "1")
 
 
 def _traffic(comm):
@@ -40,7 +40,7 @@ class TestEnvInstall:
         assert telemetry_from_env(0) is None
 
     def test_trace_implies_metrics(self, monkeypatch):
-        monkeypatch.setenv(ENV_TRACE, "1")
+        monkeypatch.setenv("OMBPY_TRACE", "1")
         tele = telemetry_from_env(2)
         assert tele is not None
         assert tele.metrics is not None
@@ -48,8 +48,8 @@ class TestEnvInstall:
         assert tele.rank == 2
 
     def test_zero_means_off(self, monkeypatch):
-        monkeypatch.setenv(ENV_METRICS, "0")
-        monkeypatch.setenv(ENV_TRACE, "0")
+        monkeypatch.setenv("OMBPY_METRICS", "0")
+        monkeypatch.setenv("OMBPY_TRACE", "0")
         assert telemetry_from_env(0) is None
 
     def test_threads_fabric_installs_per_rank(self, telemetry_env):
@@ -216,8 +216,8 @@ class TestJobAggregation:
         from repro.mpi import init as runtime_init
 
         base = str(tmp_path / "single")
-        monkeypatch.setenv(ENV_METRICS, "1")
-        monkeypatch.setenv(ENV_OUT, base)
+        monkeypatch.setenv("OMBPY_METRICS", "1")
+        monkeypatch.setenv("OMBPY_TELEMETRY_OUT", base)
         world = runtime_init()  # no launcher env -> singleton world
         world.finalize()
         dumps = read_rank_dumps(base, 1)
@@ -251,7 +251,7 @@ class TestCliIntegration:
         ])
         assert rc == 0
         # The CLI-set env must not leak into later runs.
-        assert ENV_METRICS not in os.environ
+        assert "OMBPY_METRICS" not in os.environ
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["nranks"] == 2
         assert metrics["job"]["counters"]["comm.msgs_sent"] > 0
