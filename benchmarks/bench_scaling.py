@@ -3,9 +3,7 @@
 
 For each rank count N the sweep measures one collective at fixed
 message sizes twice — flat (no topology) and hierarchical (with a
-``--groups`` node-group map) — and reports the measured speedup next to
-the LogGP-model prediction from :mod:`repro.simulator`, the
-cross-validation described in ``docs/scaling.md``.  On process
+``--groups`` node-group map) — and reports the measured speedup.  On process
 transports the per-rank connection counts are recorded too, which is
 where the fabric's O(group + groups) scaling shows up.
 
@@ -13,7 +11,7 @@ Examples (repo root)::
 
     python benchmarks/bench_scaling.py --ranks 2,8,32 --transport threads
     python benchmarks/bench_scaling.py --ranks 4,16 --transport uds \
-        --collective allgather --sizes 8,1024 --groups auto --validate
+        --collective allgather --sizes 8,1024 --groups auto
     python benchmarks/bench_scaling.py --ranks 2,8,32 --transport threads \
         --verify --json /tmp/scaling.json
 """
@@ -29,13 +27,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.core.scaling import (                              # noqa: E402
-    SCALING_OPS, measure_process, measure_threads, predict_ratio,
+    SCALING_OPS, measure_process, measure_threads,
 )
-
-#: Measured hierarchical/flat ratios this far above the analytic
-#: prediction fail --validate; generous because single-host runs
-#: oversubscribe cores while the model assumes a quiet cluster.
-VALIDATE_SLACK = 1.6
 
 
 def _measure(args, ranks: int, size: int, groups: str | None) -> dict:
@@ -54,10 +47,9 @@ def _measure(args, ranks: int, size: int, groups: str | None) -> dict:
 
 def run_sweep(args) -> dict:
     points = []
-    failures = []
     header = (
         f"{'N':>4} {'size':>8} {'flat_us':>10} {'hier_us':>10} "
-        f"{'speedup':>8} {'pred':>6} {'conns flat':>10} {'hier':>6}"
+        f"{'speedup':>8} {'conns flat':>10} {'hier':>6}"
     )
     print(f"# {args.collective} on {args.transport} "
           f"(groups={args.groups}, {args.iterations} iters)")
@@ -71,9 +63,6 @@ def run_sweep(args) -> dict:
                 hier["latency_us"] / flat["latency_us"]
                 if hier and flat["latency_us"] > 0 else None
             )
-            predicted = predict_ratio(
-                args.collective, ranks, size, args.groups
-            ) if hier else None
             point = {
                 "ranks": ranks,
                 "size": size,
@@ -82,8 +71,6 @@ def run_sweep(args) -> dict:
                 else round(hier["latency_us"], 3),
                 "measured_ratio": None if measured is None
                 else round(measured, 4),
-                "predicted_ratio": None if predicted is None
-                else round(predicted, 4),
                 "flat_connections": flat.get("max_connections"),
                 "hier_connections": None if hier is None
                 else hier.get("max_connections"),
@@ -92,21 +79,12 @@ def run_sweep(args) -> dict:
             hier_s = "-" if point["hier_us"] is None \
                 else f"{point['hier_us']:.2f}"
             speedup_s = f"{1 / measured:.2f}x" if measured else "-"
-            pred_s = f"{predicted:.2f}" if predicted else "-"
             print(
                 f"{ranks:>4} {size:>8} {point['flat_us']:>10.2f} "
-                f"{hier_s:>10} {speedup_s:>8} {pred_s:>6} "
+                f"{hier_s:>10} {speedup_s:>8} "
                 f"{str(point['flat_connections'] or '-'):>10} "
                 f"{str(point['hier_connections'] or '-'):>6}"
             )
-            if args.validate and measured is not None \
-                    and predicted is not None \
-                    and measured > predicted * VALIDATE_SLACK:
-                failures.append(
-                    f"{args.collective} N={ranks} size={size}: measured "
-                    f"hier/flat ratio {measured:.2f} exceeds LogGP "
-                    f"prediction {predicted:.2f} x slack {VALIDATE_SLACK}"
-                )
     return {
         "schema": "ombpy-bench-scaling/1",
         "collective": args.collective,
@@ -116,7 +94,6 @@ def run_sweep(args) -> dict:
         "warmup": args.warmup,
         "verify": args.verify,
         "points": points,
-        "validation_failures": failures,
     }
 
 
@@ -156,11 +133,6 @@ def main(argv: list[str] | None = None) -> int:
         "(threads transport only)",
     )
     parser.add_argument(
-        "--validate", action="store_true",
-        help="fail if a measured hier/flat ratio exceeds the LogGP "
-        "prediction by more than the slack factor",
-    )
-    parser.add_argument(
         "--json", default=None, metavar="FILE",
         help="also write the sweep as JSON to FILE",
     )
@@ -176,10 +148,6 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {args.json}")
-    if doc["validation_failures"]:
-        for line in doc["validation_failures"]:
-            print(f"VALIDATION FAILURE: {line}", file=sys.stderr)
-        return 1
     return 0
 
 

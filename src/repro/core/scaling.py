@@ -14,11 +14,6 @@ paths share the timing loop:
   statistics, which is how the sweep demonstrates the O(group + groups)
   connection scaling of the fabric.
 
-:func:`predict_ratio` prices the same flat and hierarchical algorithms
-on the simulator's LogGP models (:mod:`repro.simulator`), so a sweep can
-cross-validate its measured hierarchical speedup against the analytic
-expectation — see ``docs/scaling.md``.
-
 The module doubles as the per-rank child program of the process path::
 
     python -m repro.core.scaling --op allreduce --size 1024 --out base
@@ -233,70 +228,6 @@ def _child_main(argv: list[str] | None = None) -> int:
               encoding="utf-8") as fh:
         json.dump(record, fh)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# Analytic cross-validation (LogGP)
-# ---------------------------------------------------------------------------
-
-def predict_us(
-    op: str, ranks: int, nbytes: int, groups: str | None = None
-) -> float:
-    """LogGP price of one collective call on the reference cluster.
-
-    Flat (``groups=None``) prices the runtime's flat algorithm over the
-    inter-node network.  Grouped composes the two-level algorithm the
-    runtime actually runs: intra-group phases on the shared-memory
-    model, the leader phase over the inter-node model — the standard
-    MVAPICH-style two-level decomposition.
-    """
-    from ..mpi.topology import parse_groups
-    from ..simulator.clusters import FRONTERA
-    from ..simulator.collective_cost import (
-        allgather_us, allreduce_us, barrier_us, bcast_us, collective_us,
-        gather_us, reduce_us,
-    )
-
-    intra, inter = FRONTERA.intra, FRONTERA.inter
-    if groups is None:
-        return collective_us(op, inter, ranks, nbytes)
-    gmap = parse_groups(groups, ranks)
-    g = gmap.max_group_size
-    n_groups = gmap.n_groups
-    if op == "allreduce":
-        return (
-            reduce_us(intra, g, nbytes)
-            + allreduce_us(inter, n_groups, nbytes)
-            + bcast_us(intra, g, nbytes)
-        )
-    if op == "bcast":
-        return bcast_us(inter, n_groups, nbytes) + bcast_us(intra, g, nbytes)
-    if op == "barrier":
-        return (
-            barrier_us(intra, g)
-            + barrier_us(inter, n_groups)
-            + barrier_us(intra, g)
-        )
-    if op == "gather":
-        return gather_us(intra, g, nbytes) \
-            + gather_us(inter, n_groups, nbytes * g)
-    if op == "allgather":
-        return (
-            gather_us(intra, g, nbytes)
-            + allgather_us(inter, n_groups, nbytes * g)
-            + bcast_us(intra, g, nbytes * ranks)
-        )
-    raise ValueError(
-        f"unknown scaling op {op!r}; available: {SCALING_OPS}"
-    )
-
-
-def predict_ratio(op: str, ranks: int, nbytes: int, groups: str) -> float:
-    """Predicted hierarchical/flat latency ratio (< 1 = hierarchy wins)."""
-    flat = predict_us(op, ranks, nbytes, None)
-    if flat <= 0:
-        return 1.0
-    return predict_us(op, ranks, nbytes, groups) / flat
 
 
 if __name__ == "__main__":

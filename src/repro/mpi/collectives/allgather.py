@@ -13,47 +13,21 @@ from __future__ import annotations
 
 from ..comm import Comm
 from . import selector
-from .base import check_equal_blocks  # noqa: F401 (re-exported for tests)
-from .base import csendrecv, ctag, is_power_of_two
+from .base import ctag, is_power_of_two
 from .hierarchy import hier_allgather, partition
+from .schedule import flat, recursive_doubling_allgather, ring_allgather
 
 
 def _recursive_doubling(
     comm: Comm, payload: bytes, tag: int
 ) -> list[bytes]:
-    rank, size = comm.rank, comm.size
-    block = len(payload)
-    blocks: list[bytes | None] = [None] * size
-    blocks[rank] = payload
-
-    mask = 1
-    while mask < size:
-        partner = rank ^ mask
-        # I currently hold the aligned group of `mask` blocks containing me.
-        my_lo = (rank // mask) * mask
-        their_lo = (partner // mask) * mask
-        chunk = b"".join(blocks[my_lo + i] for i in range(mask))  # type: ignore[misc]
-        got = csendrecv(comm, chunk, partner, partner, tag, mask * block)
-        for i in range(mask):
-            blocks[their_lo + i] = got[i * block:(i + 1) * block]
-        mask <<= 1
-    return blocks  # type: ignore[return-value]
+    return flat(comm, tag, recursive_doubling_allgather, payload)
 
 
 def _ring(comm: Comm, payload: bytes, tag: int) -> list[bytes]:
-    rank, size = comm.rank, comm.size
-    block = len(payload)
-    blocks: list[bytes | None] = [None] * size
-    blocks[rank] = payload
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    for step in range(size - 1):
-        send_idx = (rank - step) % size
-        recv_idx = (rank - step - 1) % size
-        out = blocks[send_idx]
-        assert out is not None
-        blocks[recv_idx] = csendrecv(comm, out, right, left, tag, block)
-    return blocks  # type: ignore[return-value]
+    blocks: list = [None] * comm.size
+    blocks[comm.rank] = payload
+    return flat(comm, tag, ring_allgather, blocks, [len(payload)] * comm.size)
 
 
 def _linear(comm: Comm, payload: bytes, tag: int) -> list[bytes]:
@@ -61,12 +35,12 @@ def _linear(comm: Comm, payload: bytes, tag: int) -> list[bytes]:
     from .gather import gather
 
     gathered = gather(comm, payload, root=0)
-    flat = bcast(
+    joined = bcast(
         comm, b"".join(gathered) if gathered is not None else None, 0
     )
     block = len(payload)
     return [
-        flat[i * block:(i + 1) * block] for i in range(comm.size)
+        joined[i * block:(i + 1) * block] for i in range(comm.size)
     ]
 
 

@@ -18,108 +18,19 @@ import numpy as np
 from ..comm import Comm
 from ..ops import Op
 from . import selector
-from .base import (
-    crecv,
-    csend,
-    csendrecv,
-    ctag,
-    floor_pow2,
-    to_bytes,
-)
+from .base import ctag, to_bytes
 from .hierarchy import hier_allreduce, partition
+from .schedule import flat, recursive_doubling_allreduce, ring_allreduce
 
 
 def _recursive_doubling(
     comm: Comm, send: np.ndarray, op: Op, tag: int
 ) -> np.ndarray:
-    rank, size = comm.rank, comm.size
-    acc = send.copy()
-    nbytes = acc.nbytes
-    dtype = acc.dtype
-
-    pof2 = floor_pow2(size)
-    rem = size - pof2
-
-    # Fold the remainder: the first 2*rem ranks pair up; evens hand their
-    # contribution to odds and go idle for the doubling rounds.
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            csend(comm, rank + 1, tag, to_bytes(acc))
-            newrank = -1
-        else:
-            part = np.frombuffer(
-                crecv(comm, rank - 1, tag, nbytes), dtype=dtype
-            )
-            acc = op(part, acc)  # lower rank first (order-safe)
-            newrank = rank // 2
-    else:
-        newrank = rank - rem
-
-    if newrank != -1:
-        def real_rank(nr: int) -> int:
-            return nr * 2 + 1 if nr < rem else nr + rem
-
-        mask = 1
-        while mask < pof2:
-            partner = real_rank(newrank ^ mask)
-            got = csendrecv(
-                comm, to_bytes(acc), partner, partner, tag, nbytes
-            )
-            part = np.frombuffer(got, dtype=dtype)
-            if partner < rank:
-                acc = op(part, acc)
-            else:
-                acc = op(acc, part)
-            mask <<= 1
-
-    # Hand results back to the idle evens.
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            acc = np.frombuffer(
-                crecv(comm, rank + 1, tag, nbytes), dtype=dtype
-            ).copy()
-        else:
-            csend(comm, rank - 1, tag, to_bytes(acc))
-    return acc
+    return flat(comm, tag, recursive_doubling_allreduce, send, op)
 
 
 def _ring(comm: Comm, send: np.ndarray, op: Op, tag: int) -> np.ndarray:
-    """Ring reduce-scatter + ring allgather over p equal segments."""
-    rank, size = comm.rank, comm.size
-    n = send.shape[0]
-    seg = -(-n // size)
-    work = np.zeros(seg * size, dtype=send.dtype)
-    work[:n] = send
-    itemsize = send.dtype.itemsize
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-
-    def seg_view(idx: int) -> np.ndarray:
-        return work[idx * seg:(idx + 1) * seg]
-
-    # Reduce-scatter: after p-1 steps, segment (rank+1)%p is fully reduced
-    # at this rank.
-    for step in range(size - 1):
-        send_idx = (rank - step) % size
-        recv_idx = (rank - step - 1) % size
-        got = csendrecv(
-            comm, to_bytes(seg_view(send_idx)), right, left, tag,
-            seg * itemsize,
-        )
-        part = np.frombuffer(got, dtype=send.dtype)
-        seg_view(recv_idx)[:] = op(part, seg_view(recv_idx))
-
-    # Allgather: circulate fully-reduced segments.
-    for step in range(size - 1):
-        send_idx = (rank + 1 - step) % size
-        recv_idx = (rank - step) % size
-        got = csendrecv(
-            comm, to_bytes(seg_view(send_idx)), right, left, tag,
-            seg * itemsize,
-        )
-        seg_view(recv_idx)[:] = np.frombuffer(got, dtype=send.dtype)
-
-    return work[:n]
+    return flat(comm, tag, ring_allreduce, send, op)
 
 
 def _reduce_bcast(

@@ -16,21 +16,13 @@ from typing import Sequence
 from ..comm import Comm
 from . import selector
 from .base import check_equal_blocks, csendrecv, ctag
+from .schedule import flat, pairwise_alltoall
 
 
 def _pairwise(
     comm: Comm, blocks: Sequence[bytes], tag: int, block: int
 ) -> list[bytes]:
-    rank, size = comm.rank, comm.size
-    out: list[bytes] = [b""] * size
-    out[rank] = blocks[rank]
-    for step in range(1, size):
-        dest = (rank + step) % size
-        source = (rank - step) % size
-        out[source] = csendrecv(
-            comm, blocks[dest], dest, source, tag, block
-        )
-    return out
+    return flat(comm, tag, pairwise_alltoall, blocks, block)
 
 
 def _bruck(

@@ -15,18 +15,9 @@ from __future__ import annotations
 
 from ..comm import Comm
 from . import selector
-from .base import csendrecv, ctag
+from .base import ctag
 from .hierarchy import hier_barrier, partition
-
-
-def _dissemination(comm: Comm, tag: int) -> None:
-    rank, size = comm.rank, comm.size
-    dist = 1
-    while dist < size:
-        dest = (rank + dist) % size
-        source = (rank - dist) % size
-        csendrecv(comm, b"", dest, source, tag, 0)
-        dist <<= 1
+from .schedule import dissemination_barrier, flat
 
 
 def barrier(comm: Comm) -> None:
@@ -38,4 +29,4 @@ def barrier(comm: Comm) -> None:
     if alg == "hierarchical":
         hier_barrier(comm, tag)
         return
-    _dissemination(comm, tag)
+    flat(comm, tag, dissemination_barrier)

@@ -20,8 +20,9 @@ import struct
 from ..comm import Comm
 from ..exceptions import RootError
 from . import selector
-from .base import ceil_pow2, crecv, csend, ctag, rank_of, vrank_of
+from .base import crecv, csend, ctag
 from .hierarchy import hier_bcast, partition
+from .schedule import binomial_bcast, flat, scatter_allgather_bcast
 
 _LEN = struct.Struct("<q")
 
@@ -33,37 +34,7 @@ def _binomial(
     tag: int,
     nbytes: int,
 ) -> bytes:
-    """Binomial-tree broadcast of a known-size payload."""
-    rank, size = comm.rank, comm.size
-    vrank = vrank_of(rank, root, size)
-
-    data = payload
-    # Receive phase: find the bit position of my parent.
-    mask = 1
-    while mask < size:
-        if vrank & mask:
-            parent = rank_of(vrank - mask, root, size)
-            data = crecv(comm, parent, tag, nbytes)
-            break
-        mask <<= 1
-    # Send phase: fan out to children at decreasing bit positions.
-    mask >>= 1
-    assert data is not None
-    while mask > 0:
-        child_v = vrank + mask
-        if child_v < size:
-            csend(comm, rank_of(child_v, root, size), tag, data)
-        mask >>= 1
-    return data
-
-
-def _chunk_bounds(nbytes: int, size: int) -> list[tuple[int, int]]:
-    """Byte ranges of the per-rank chunks used by scatter_allgather."""
-    chunk = -(-nbytes // size)  # ceil division
-    return [
-        (min(i * chunk, nbytes), min((i + 1) * chunk, nbytes))
-        for i in range(size)
-    ]
+    return flat(comm, tag, binomial_bcast, root, payload, nbytes)
 
 
 def _scatter_allgather(
@@ -73,68 +44,7 @@ def _scatter_allgather(
     tag: int,
     nbytes: int,
 ) -> bytes:
-    """Van de Geijn broadcast: binomial scatter + ring allgather."""
-    rank, size = comm.rank, comm.size
-    vrank = vrank_of(rank, root, size)
-    bounds = _chunk_bounds(nbytes, size)
-
-    def subtree_bytes(first_v: int, span: int) -> tuple[int, int]:
-        """Byte range covering chunks of vranks [first_v, first_v + span)."""
-        last_v = min(first_v + span, size) - 1
-        return bounds[first_v][0], bounds[last_v][1]
-
-    # --- scatter phase (binomial, in vrank space) ---
-    held: bytes
-    held_lo: int
-    if vrank == 0:
-        assert payload is not None
-        held = payload
-        held_lo = 0
-        recv_mask = ceil_pow2(size)  # root fans out from the top bit
-    else:
-        mask = 1
-        while mask < size:
-            if vrank & mask:
-                parent = rank_of(vrank - mask, root, size)
-                lo, hi = subtree_bytes(vrank, mask)
-                held = crecv(comm, parent, tag, hi - lo)
-                held_lo = lo
-                recv_mask = mask
-                break
-            mask <<= 1
-        else:  # pragma: no cover - unreachable for vrank > 0
-            raise RootError("binomial scatter bit scan failed")
-    mask = recv_mask >> 1
-    while mask > 0:
-        child_v = vrank + mask
-        if child_v < size:
-            lo, hi = subtree_bytes(child_v, mask)
-            csend(
-                comm, rank_of(child_v, root, size), tag,
-                held[lo - held_lo:hi - held_lo],
-            )
-        mask >>= 1
-
-    # Keep only my own chunk.
-    chunks: list[bytes | None] = [None] * size
-    my_lo, my_hi = bounds[vrank]
-    chunks[vrank] = held[my_lo - held_lo:my_hi - held_lo]
-
-    # --- ring allgather phase (in vrank space) ---
-    right = rank_of((vrank + 1) % size, root, size)
-    left = rank_of((vrank - 1) % size, root, size)
-    for step in range(size - 1):
-        send_idx = (vrank - step) % size
-        recv_idx = (vrank - step - 1) % size
-        block = chunks[send_idx]
-        assert block is not None
-        got, _ = comm.sendrecv_bytes(
-            block, right, tag, left, tag,
-            bounds[recv_idx][1] - bounds[recv_idx][0],
-        )
-        chunks[recv_idx] = got
-
-    return b"".join(chunks)  # type: ignore[arg-type]
+    return flat(comm, tag, scatter_allgather_bcast, root, payload, nbytes)
 
 
 def _linear(

@@ -11,44 +11,15 @@ from __future__ import annotations
 
 from ..comm import Comm
 from . import selector
-from .base import crecv, csend, ctag, rank_of, vrank_of
+from .base import crecv, csend, ctag
 from .hierarchy import hier_gather, partition
+from .schedule import binomial_gather, flat
 
 
 def _binomial(
     comm: Comm, payload: bytes, root: int, tag: int
 ) -> list[bytes] | None:
-    rank, size = comm.rank, comm.size
-    vrank = vrank_of(rank, root, size)
-    block = len(payload)
-
-    # held[i] is the block of vrank (my_vrank + i); grows as children report.
-    held: list[bytes] = [payload]
-    mask = 1
-    while mask < size:
-        if vrank & mask:
-            # Send my whole subtree range [vrank, vrank + mask) to parent.
-            parent = rank_of(vrank - mask, root, size)
-            csend(comm, parent, tag, b"".join(held))
-            held = []
-            break
-        child_v = vrank | mask
-        if child_v < size:
-            span = min(mask, size - child_v)
-            child = rank_of(child_v, root, size)
-            data = crecv(comm, child, tag, span * block)
-            held.extend(
-                data[i * block:(i + 1) * block] for i in range(span)
-            )
-        mask <<= 1
-
-    if vrank != 0:
-        return None
-    # Root: held is ordered by vrank; restore comm-rank order.
-    out: list[bytes] = [b""] * size
-    for v, blk in enumerate(held):
-        out[rank_of(v, root, size)] = blk
-    return out
+    return flat(comm, tag, binomial_gather, root, payload)
 
 
 def _linear(

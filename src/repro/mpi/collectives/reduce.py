@@ -18,32 +18,14 @@ import numpy as np
 from ..comm import Comm
 from ..ops import Op
 from . import selector
-from .base import crecv, csend, ctag, rank_of, to_bytes, vrank_of
+from .base import crecv, csend, ctag, to_bytes
+from .schedule import binomial_reduce, flat, rabenseifner_reduce
 
 
 def _binomial(
     comm: Comm, send: np.ndarray, op: Op, root: int, tag: int
 ) -> np.ndarray | None:
-    rank, size = comm.rank, comm.size
-    vrank = vrank_of(rank, root, size)
-    acc = send.copy()
-    nbytes = acc.nbytes
-
-    mask = 1
-    while mask < size:
-        if vrank & mask:
-            parent = rank_of(vrank - mask, root, size)
-            csend(comm, parent, tag, to_bytes(acc))
-            return None
-        child_v = vrank | mask
-        if child_v < size:
-            child = rank_of(child_v, root, size)
-            part = np.frombuffer(
-                crecv(comm, child, tag, nbytes), dtype=send.dtype
-            )
-            acc = op(acc, part)
-        mask <<= 1
-    return acc
+    return flat(comm, tag, binomial_reduce, root, send, op)
 
 
 def _linear(
@@ -73,51 +55,7 @@ def _linear(
 def _rabenseifner(
     comm: Comm, send: np.ndarray, op: Op, root: int, tag: int
 ) -> np.ndarray | None:
-    """Pairwise reduce-scatter of equal segments, then gather to root."""
-    from .reduce_scatter import _pairwise_segments
-
-    rank, size = comm.rank, comm.size
-    n = send.shape[0]
-    # Pad so every rank owns an equal segment.
-    seg = -(-n // size)
-    padded = np.zeros(seg * size, dtype=send.dtype)
-    padded[:n] = send
-    counts = [seg] * size
-    my_seg = _pairwise_segments(comm, padded, counts, op, tag)
-
-    # Binomial gather of the reduced segments (in vrank space, so any
-    # root works): log2(p) rounds at the root instead of p-1 serialized
-    # receives, and pure data movement — bit-identical to the old
-    # linear phase.  Internal nodes forward their whole subtree range
-    # as one message, so segments stay single-copy on the way up.
-    seg_bytes = seg * send.dtype.itemsize
-    vrank = vrank_of(rank, root, size)
-    held: list[bytes] = [to_bytes(my_seg)]
-    mask = 1
-    while mask < size:
-        if vrank & mask:
-            parent = rank_of(vrank - mask, root, size)
-            csend(comm, parent, tag, b"".join(held))
-            return None
-        child_v = vrank | mask
-        if child_v < size:
-            span = min(mask, size - child_v)
-            child = rank_of(child_v, root, size)
-            data = crecv(comm, child, tag, span * seg_bytes)
-            held.extend(
-                data[i * seg_bytes:(i + 1) * seg_bytes]
-                for i in range(span)
-            )
-        mask <<= 1
-    # Root: held is ordered by vrank; place each segment at its owner's
-    # comm-rank offset.
-    out = np.empty(seg * size, dtype=send.dtype)
-    for v, blk in enumerate(held):
-        owner = rank_of(v, root, size)
-        out[owner * seg:(owner + 1) * seg] = np.frombuffer(
-            blk, dtype=send.dtype
-        )
-    return out[:n]
+    return flat(comm, tag, rabenseifner_reduce, root, send, op)
 
 
 _ALGORITHMS = {

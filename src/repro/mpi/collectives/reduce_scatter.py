@@ -20,6 +20,7 @@ from ..exceptions import CountError
 from ..ops import Op
 from . import selector
 from .base import csendrecv, ctag, is_power_of_two, to_bytes
+from .schedule import flat, pairwise_reduce_scatter
 
 
 def _segment_bounds(counts: Sequence[int]) -> list[tuple[int, int]]:
@@ -29,42 +30,6 @@ def _segment_bounds(counts: Sequence[int]) -> list[tuple[int, int]]:
         bounds.append((off, off + c))
         off += c
     return bounds
-
-
-def _pairwise_segments(
-    comm: Comm,
-    send: np.ndarray,
-    counts: Sequence[int],
-    op: Op,
-    tag: int,
-) -> np.ndarray:
-    """Pairwise-exchange reduce-scatter; returns my reduced segment."""
-    rank, size = comm.rank, comm.size
-    bounds = _segment_bounds(counts)
-    itemsize = send.dtype.itemsize
-    my_lo, my_hi = bounds[rank]
-
-    # contributions[src] = src's slice of my segment; fold in rank order so
-    # non-commutative ops see x0 op x1 op ... op x(p-1).
-    contributions: list[np.ndarray | None] = [None] * size
-    contributions[rank] = send[my_lo:my_hi]
-    for step in range(1, size):
-        dest = (rank + step) % size
-        source = (rank - step) % size
-        d_lo, d_hi = bounds[dest]
-        got = csendrecv(
-            comm, to_bytes(send[d_lo:d_hi]), dest, source, tag,
-            (my_hi - my_lo) * itemsize,
-        )
-        contributions[source] = np.frombuffer(got, dtype=send.dtype)
-
-    acc = contributions[0]
-    assert acc is not None
-    acc = acc.copy()
-    for part in contributions[1:]:
-        assert part is not None
-        acc = op(acc, part)
-    return acc
 
 
 def _recursive_halving(
@@ -138,4 +103,4 @@ def reduce_scatter(
     tag = ctag(comm)
     if alg == "recursive_halving":
         return _recursive_halving(comm, send, counts, op, tag)
-    return _pairwise_segments(comm, send, counts, op, tag)
+    return flat(comm, tag, pairwise_reduce_scatter, send, counts, op)

@@ -15,7 +15,7 @@ import numpy as np
 from ..comm import Comm
 from ..ops import Op
 from . import selector
-from .base import crecv, ctag, to_bytes
+from .base import crecv, csend, ctag, to_bytes
 
 
 def _recursive_doubling(
@@ -32,7 +32,7 @@ def _recursive_doubling(
         # Ship my window up; fold the window arriving from below.  Sends are
         # buffered (eager), so same-round send+recv cannot deadlock.
         if rank + dist < size:
-            comm.isend_bytes(to_bytes(window), rank + dist, tag)
+            csend(comm, rank + dist, tag, to_bytes(window))
         if rank - dist >= 0:
             part = np.frombuffer(
                 crecv(comm, rank - dist, tag, nbytes), dtype=dtype
@@ -55,7 +55,7 @@ def _linear(comm: Comm, send: np.ndarray, op: Op, tag: int) -> np.ndarray:
         )
         acc = op(part, send)
     if rank + 1 < size:
-        comm.send_bytes(to_bytes(acc), rank + 1, tag)
+        csend(comm, rank + 1, tag, to_bytes(acc))
     return acc
 
 

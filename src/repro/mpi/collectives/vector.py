@@ -17,6 +17,7 @@ import numpy as np
 from ..comm import Comm
 from ..exceptions import CountError
 from .base import crecv, csend, csendrecv, ctag
+from .schedule import flat, ring_allgather
 
 _LEN = struct.Struct("<q")
 
@@ -90,19 +91,9 @@ def allgatherv(
     if size == 1:
         return [payload]
     tag = ctag(comm)
-    blocks: list[bytes | None] = [None] * size
+    blocks: list = [None] * size
     blocks[rank] = payload
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    for step in range(size - 1):
-        send_idx = (rank - step) % size
-        recv_idx = (rank - step - 1) % size
-        out = blocks[send_idx]
-        assert out is not None
-        blocks[recv_idx] = csendrecv(
-            comm, out, right, left, tag, counts[recv_idx]
-        )
-    return blocks  # type: ignore[return-value]
+    return flat(comm, tag, ring_allgather, blocks, counts)
 
 
 def alltoallv(comm: Comm, blocks: Sequence[bytes]) -> list[bytes]:

@@ -16,9 +16,10 @@ this package:
   access costs + THREAD_MULTIPLE full-subscription penalties);
 * :mod:`repro.simulator.collective_cost` — analytic per-algorithm costs of
   the collectives;
-* :mod:`repro.simulator.engine` / :mod:`repro.simulator.des_collectives`
-  — a discrete-event simulator running generator-style implementations of
-  the same algorithms, used to cross-validate the analytic costs;
+* :mod:`repro.simulator.engine` — a discrete-event simulator that runs the
+  runtime's own collective schedules
+  (:mod:`repro.mpi.collectives.schedule`) and tallies their messages; the
+  tests check the analytic costs against it;
 * :mod:`repro.simulator.api` — ``simulate_pt2pt`` / ``simulate_collective``
   / ``simulate_ml``, the entry points the figure benchmarks call.
 """

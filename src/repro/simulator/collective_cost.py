@@ -7,8 +7,10 @@ several ranks share a node (``ppn > 1``) the per-byte fabric terms are
 scaled by the NIC-sharing factor, the standard first-order congestion
 treatment.
 
-The discrete-event simulator (:mod:`repro.simulator.des_collectives`)
-cross-validates these formulas on the executable algorithm definitions.
+The discrete-event engine (:mod:`repro.simulator.engine`) runs the
+runtime's own schedules (:mod:`repro.mpi.collectives.schedule`), and
+``tests/test_simulator_crossvalidation.py`` checks these formulas against
+it.  The switch points are the runtime selector's.
 """
 
 from __future__ import annotations
@@ -16,6 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+from ..mpi.collectives.selector import (
+    ALLGATHER_SHORT_MSG,
+    ALLREDUCE_SHORT_MSG,
+    ALLTOALL_SHORT_MSG,
+    BCAST_SHORT_MSG,
+)
 from .loggp import NetworkModel
 
 
@@ -59,7 +67,7 @@ def bcast_us(net: NetworkModel, p: int, n: int) -> float:
         return 0.0
     steps = _ceil_log2(p)
     binomial = steps * net.latency_us(n)
-    if n <= 16384 or p <= 2:
+    if n <= BCAST_SHORT_MSG or p <= 2:
         return binomial
     chunk = -(-n // p)
     scatter = sum(
@@ -78,12 +86,17 @@ def reduce_us(net: NetworkModel, p: int, n: int) -> float:
 
 
 def allreduce_us(net: NetworkModel, p: int, n: int) -> float:
-    """Recursive doubling for small, ring for large (the runtime's split)."""
+    """Recursive doubling for small, ring for large (the runtime's split).
+
+    Recursive doubling is priced in its power-of-two form, the one the
+    paper's figures use.  For other ``p`` the runtime folds the remainder
+    first, which adds a hop in and a hop out around this core.
+    """
     if p == 1:
         return 0.0
     steps = _ceil_log2(p)
     rd = steps * (net.latency_us(n) + GAMMA_US_PER_BYTE * n)
-    if n <= 8192 or p <= 2:
+    if n <= ALLREDUCE_SHORT_MSG or p <= 2:
         return rd
     seg = -(-n // p)
     ring = 2 * (p - 1) * (
@@ -99,7 +112,7 @@ def allgather_us(net: NetworkModel, p: int, n: int) -> float:
     """
     if p == 1:
         return 0.0
-    if n * p <= 32768:
+    if n * p <= ALLGATHER_SHORT_MSG:
         return sum(
             net.latency_us(n * 2 ** k) for k in range(_ceil_log2(p))
         )
@@ -110,7 +123,7 @@ def alltoall_us(net: NetworkModel, p: int, n: int) -> float:
     """Bruck for tiny blocks, pairwise exchange otherwise."""
     if p == 1:
         return 0.0
-    if n <= 256 and p > 2:
+    if n <= ALLTOALL_SHORT_MSG and p > 2:
         return sum(
             net.latency_us(n * ((p + 1) // 2))
             for _ in range(_ceil_log2(p))

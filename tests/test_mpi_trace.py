@@ -1,8 +1,11 @@
 """Tracer tests + algorithm-structure assertions.
 
-The structural counts below are the textbook message complexities of the
-collective algorithms; validating them proves the implementation runs the
-algorithm it claims, not merely that results are numerically right.
+The structural counts below are the message complexities of the
+collective algorithms.  Where the algorithm is a schedule
+(:mod:`repro.mpi.collectives.schedule`), the expected count is the
+simulator engine's tally of that schedule; validating them proves the
+implementation runs the algorithm it claims, not merely that results are
+numerically right.
 """
 
 import math
@@ -12,9 +15,21 @@ import numpy as np
 import pytest
 
 from repro.mpi import ops
+from repro.mpi.collectives import schedule as s
 from repro.mpi.collectives import selector
 from repro.mpi.trace import run_traced, traced
 from repro.mpi.world import run_on_threads
+from repro.simulator.engine import simulate
+from repro.simulator.loggp import NetworkModel
+
+
+def _tally(n, algorithm, args):
+    """Messages the engine delivers running ``algorithm`` over n ranks,
+    rank r passing ``args(r)``."""
+    return simulate(
+        [algorithm(range(n), r, *args(r)) for r in range(n)],
+        NetworkModel(alpha_us=1.0, beta_us_per_byte=0.0),
+    ).msgs
 
 
 def _collective_trace(n, fn, op=None, algorithm=None):
@@ -146,7 +161,11 @@ class TestAlgorithmStructure:
         log = _collective_trace(n, work, "allgather", "ring")
         data_msgs = [e for e in log.snapshot() if e.nbytes == 16]
         # Ring: p-1 steps, every rank sends one block per step.
-        assert len(data_msgs) == n * (n - 1)
+        assert len(data_msgs) == _tally(
+            n, s.ring_allgather,
+            lambda r: ([bytes(16) if i == r else None for i in range(n)],
+                       [16] * n),
+        )
         # Each rank only ever sends to its right neighbour.
         for e in data_msgs:
             assert e.dst_world == (e.src_world + 1) % n
@@ -159,7 +178,10 @@ class TestAlgorithmStructure:
         log = _collective_trace(n, work, "allreduce", "recursive_doubling")
         data_msgs = [e for e in log.snapshot() if e.nbytes == 32]
         # Power-of-two p: log2(p) rounds, p messages per round.
-        assert len(data_msgs) == n * int(math.log2(n))
+        assert len(data_msgs) == _tally(
+            n, s.recursive_doubling_allreduce,
+            lambda r: (np.ones(4), ops.SUM),
+        )
 
     @pytest.mark.parametrize("n", (4, 8))
     def test_pairwise_alltoall_message_count(self, n):
@@ -172,7 +194,9 @@ class TestAlgorithmStructure:
             if e.nbytes == 8 and e.src_world != e.dst_world
         ]
         # Every ordered pair exchanges exactly one block.
-        assert len(data_msgs) == n * (n - 1)
+        assert len(data_msgs) == _tally(
+            n, s.pairwise_alltoall, lambda r: ([b"Q" * 8] * n, 8)
+        )
         assert set(log.by_pair()) >= {
             (i, j) for i in range(n) for j in range(n) if i != j
         }
@@ -195,9 +219,10 @@ class TestAlgorithmStructure:
 
         log = _collective_trace(n, work)
         # ceil(log2 p) rounds, one zero-byte token per rank per round.
-        expected = n * math.ceil(math.log2(n))
         zero_msgs = [e for e in log.snapshot() if e.nbytes == 0]
-        assert len(zero_msgs) == expected
+        assert len(zero_msgs) == _tally(
+            n, s.dissemination_barrier, lambda r: ()
+        )
 
     def test_bruck_total_volume_exceeds_pairwise_per_message_economy(self):
         """Bruck trades message count for volume: it ships ~p/2 blocks

@@ -33,9 +33,9 @@ def test_ring_rounds_finish_time_exact(p, rounds, alpha, beta):
         right = (rank + 1) % size
         left = (rank - 1) % size
         for _ in range(rounds):
-            yield ("sendrecv", right, left, n)
+            yield ("sendrecv", right, left, bytes(n), n)
 
-    clocks = simulate([prog(r, p) for r in range(p)], net)
+    clocks = simulate([prog(r, p) for r in range(p)], net).clocks
     expected = rounds * net.latency_us(n)
     assert all(abs(c - expected) < 1e-9 for c in clocks)
 
@@ -54,18 +54,18 @@ def test_matched_random_schedule_completes(pairs, seed):
     for pair in range(pairs):
         def sender(rank, p, msgs=sizes[pair]):
             for n in msgs:
-                yield ("send", rank + 1, n)
+                yield ("send", rank + 1, bytes(n))
                 yield ("compute", 0.05)
 
         def receiver(rank, p, msgs=sizes[pair]):
             for _ in msgs:
-                yield ("recv", rank - 1)
+                yield ("recv", rank - 1, 4096)
 
         programs.append(sender)
         programs.append(receiver)
 
     progs = [programs[i](i, 2 * pairs) for i in range(2 * pairs)]
-    clocks = simulate(progs, net)
+    clocks = simulate(progs, net).clocks
     for pair in range(pairs):
         sender_clock = clocks[2 * pair]
         receiver_clock = clocks[2 * pair + 1]
@@ -86,13 +86,13 @@ def test_send_overhead_linear_in_ring(p, overhead):
         right = (rank + 1) % size
         left = (rank - 1) % size
         for _ in range(rounds):
-            yield ("sendrecv", right, left, 64)
+            yield ("sendrecv", right, left, bytes(64), 64)
 
-    base = max(simulate([prog(r, p) for r in range(p)], net))
+    base = max(simulate([prog(r, p) for r in range(p)], net).clocks)
     slowed = max(simulate(
         [prog(r, p) for r in range(p)], net,
         per_send_overhead_us=overhead,
-    ))
+    ).clocks)
     assert slowed >= base
     assert abs(slowed - (base + rounds * overhead)) < 1e-6
 
@@ -108,14 +108,14 @@ def test_fan_in_serializes_at_receiver(seed):
     sizes = [int(rng.integers(0, 8192)) for _ in range(p - 1)]
 
     def sender(rank, size):
-        yield ("send", 0, sizes[rank - 1])
+        yield ("send", 0, bytes(sizes[rank - 1]))
 
     def sink(rank, size):
         for src in range(1, size):
-            yield ("recv", src)
+            yield ("recv", src, 8192)
 
     progs = [sink(0, p)] + [sender(r, p) for r in range(1, p)]
-    clocks = simulate(progs, net)
+    clocks = simulate(progs, net).clocks
     lower = max(net.latency_us(n) for n in sizes)
     upper = sum(net.latency_us(n) for n in sizes) + 1e-9
     assert lower - 1e-9 <= clocks[0] <= upper

@@ -124,6 +124,35 @@ class TestHookWiring:
         assert phase_spans[0][6]["size"] >= 1
 
 
+class TestCollectiveMessageCount:
+    """``coll.msgs`` counts every message a collective sends, so summed
+    over ranks it equals the ``comm.msgs_sent`` delta of the call."""
+
+    @pytest.mark.parametrize("n, groups, work, expected", [
+        # 3 header + 3 scatter + 4*3 ring messages.
+        (4, None, lambda comm: comm.bcast_bytes(
+            bytes(65536) if comm.rank == 0 else None, 0), 18),
+        # 2*3 intra-group gather + 2 leader ring + 2*3 intra-group bcast.
+        (8, "2x4", lambda comm: comm.allgather_bytes(bytes(16)), 14),
+    ], ids=["bcast_64k_p4", "allgather_2x4"])
+    def test_coll_msgs_equals_msgs_sent(
+        self, telemetry_env, n, groups, work, expected
+    ):
+        def counts(comm):
+            c = comm.endpoint.telemetry.snapshot()["metrics"]["counters"]
+            return c.get("coll.msgs", 0), c.get("comm.msgs_sent", 0)
+
+        def fn(comm):
+            coll0, sent0 = counts(comm)
+            work(comm)
+            coll1, sent1 = counts(comm)
+            return coll1 - coll0, sent1 - sent0
+
+        deltas = run_on_threads(n, fn, groups=groups)
+        assert sum(c for c, _ in deltas) == sum(s for _, s in deltas) \
+            == expected
+
+
 class TestReliabilityMirror:
     def test_counters_agree_with_stats(self, telemetry_env):
         """The metrics registry and stats() must report identical counts,
