@@ -52,6 +52,9 @@ SIZE_NAMES = frozenset({
     "numprocs", "comm_size", "npes", "nproc",
 })
 
+#: Names of a collective schedule's participant list: one entry per rank.
+MEMBER_NAMES = frozenset({"members"})
+
 _RANK_GETTERS = frozenset({"Get_rank", "rank"})
 _SIZE_GETTERS = frozenset({"Get_size", "size"})
 
@@ -92,11 +95,14 @@ def is_sizeish(node: ast.expr) -> bool:
 
 def mentions_scale(node: ast.AST) -> bool:
     """Does any leaf of this expression grow with the job size — a size
-    name, a rank name, or a ``Get_size()``-style getter?  Used by the
+    name, a rank name, a ``Get_size()``-style getter, or a collective
+    schedule's member list (``members``, ``len(members)``)?  Used by the
     scale rules: a loop over ``range(self.world_rank)`` is just as
     O(N) as one over ``range(size)``."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.expr) and _leaf_key(sub) in ("rank", "size"):
+            return True
+        if isinstance(sub, ast.Name) and sub.id in MEMBER_NAMES:
             return True
     return False
 

@@ -181,8 +181,9 @@ def _walk_scope(root: ast.AST):
             stack.append(child)
 
 
-#: Helper-function names that are send/recv wrappers — the collectives
-#: route through ``csend``/``crecv`` rather than comm methods directly.
+#: Helper-function names that are send/recv wrappers, such as the
+#: collectives' ``csend``/``crecv`` (schedules yield steps instead; see
+#: :func:`_step_kind`).
 _NAME_KIND = re.compile(r"^c?i?(send|recv)(_bytes)?$")
 
 
@@ -224,12 +225,30 @@ def _rank_loops(info: FunctionInfo) -> list[ast.For]:
     return loops
 
 
+def _step_kind(node: ast.Yield) -> str | None:
+    """``send``/``recv``/``sendrecv`` for a collective schedule's step,
+    ``yield ("send", peer, payload)``."""
+    value = node.value
+    if isinstance(value, ast.Tuple) and value.elts:
+        head = value.elts[0]
+        if isinstance(head, ast.Constant) \
+                and head.value in ("send", "recv", "sendrecv"):
+            return head.value
+    return None
+
+
 def _loop_comm_kinds(loop: ast.For) -> set[str]:
     """Communication kinds in the loop body, with ``sendrecv`` counted
     as both (a pairwise exchange, not a fan-out)."""
     kinds: set[str] = set()
     for node in ast.walk(loop):
-        if isinstance(node, ast.Call):
+        if isinstance(node, ast.Yield):
+            kind = _step_kind(node)
+            if kind == "sendrecv":
+                kinds.update(("send", "recv"))
+            elif kind is not None:
+                kinds.add(kind)
+        elif isinstance(node, ast.Call):
             kind = _call_kind(node)
             if kind is None:
                 continue

@@ -88,16 +88,6 @@ def check_equal_blocks(blocks, size: int) -> int:
     return n
 
 
-def vrank_of(rank: int, root: int, size: int) -> int:
-    """Rank relative to ``root`` (root becomes 0)."""
-    return (rank - root) % size
-
-
-def rank_of(vrank: int, root: int, size: int) -> int:
-    """Inverse of :func:`vrank_of`."""
-    return (vrank + root) % size
-
-
 def is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 

@@ -28,8 +28,8 @@ Every algorithm is *value-identical* to its flat counterpart for exact
 (integer/bitwise) commutative operations and associativity-equivalent
 for floats (reduction order differs, as it already does between the
 flat algorithms themselves).  Non-commutative operations never route
-here — the entry points fall back to their order-preserving flat paths
-first.
+here — :func:`.selector.pick` falls back to the order-preserving flat
+algorithms first.
 
 All phases of one collective share the instance's single ``ctag``: the
 phases are strictly ordered per rank pair and the transports guarantee
@@ -38,16 +38,12 @@ per-sender FIFO, so frames cannot cross-match.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..comm import Comm
-from ..ops import Op
 from .base import as_array, to_bytes
 from .schedule import (
     binomial_bcast,
     binomial_gather,
     binomial_reduce,
-    drive,
     ring_allgather,
 )
 
@@ -107,9 +103,9 @@ def _my_group(part: list[list[int]], rank: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Two-level collectives.  Each is one schedule whose phases are the flat
-# schedules run over the caller's group, the leader list or the
-# representative list.
+# Two-level collectives.  Each is one schedule over the partition ``part``
+# and the caller's comm rank, whose phases are the flat schedules run over
+# the caller's group, the leader list or the representative list.
 # ---------------------------------------------------------------------------
 
 def _phase(algorithm, members: list[int], rank: int, root: int, *args):
@@ -119,7 +115,8 @@ def _phase(algorithm, members: list[int], rank: int, root: int, *args):
     )
 
 
-def _allreduce(part, rank, send, op):
+def hierarchical_allreduce(part, rank, send, op):
+    """Intra-group reduce -> leader allreduce -> intra-group bcast."""
     members = _my_group(part, rank)
     leaders = [g[0] for g in part]
     leader = members[0]
@@ -142,7 +139,8 @@ def _allreduce(part, rank, send, op):
     return as_array(data, send)
 
 
-def _bcast(part, rank, root, data, nbytes):
+def hierarchical_bcast(part, rank, root, data, nbytes):
+    """Representative relay across groups, then intra-group fan-out."""
     members = _my_group(part, rank)
     # One representative per group: the root speaks for its own group so
     # the payload never takes an extra intra-group hop there.
@@ -157,7 +155,8 @@ def _bcast(part, rank, root, data, nbytes):
     )
 
 
-def _barrier(part, rank):
+def hierarchical_barrier(part, rank):
+    """Intra-group fan-in -> leader barrier -> intra-group release."""
     members = _my_group(part, rank)
     leaders = [g[0] for g in part]
     yield from _phase(binomial_gather, members, rank, members[0], b"")
@@ -167,7 +166,8 @@ def _barrier(part, rank):
     yield from _phase(binomial_bcast, members, rank, members[0], b"", 0)
 
 
-def _gather(part, rank, root, block):
+def hierarchical_gather(part, rank, root, block):
+    """Intra-group gather to a representative, one message per group up."""
     members = _my_group(part, rank)
     rep = root if root in members else members[0]
     size = len(block)
@@ -188,7 +188,8 @@ def _gather(part, rank, root, block):
     return out
 
 
-def _allgather(part, rank, block):
+def hierarchical_allgather(part, rank, block):
+    """Intra-group gather -> leader ring of group blocks -> fan-out."""
     members = _my_group(part, rank)
     leaders = [g[0] for g in part]
     leader = members[0]
@@ -200,11 +201,9 @@ def _allgather(part, rank, block):
         # Ring over leaders with ragged per-group chunks; n_groups - 1
         # inter-group steps moving each group's block exactly G-1 times
         # (vs the flat ring's p-1 inter-group crossings per block).
-        gid = leaders.index(leader)
-        chunks: list = [None] * len(part)
-        chunks[gid] = b"".join(mine)
         chunks = yield from ring_allgather(
-            leaders, gid, chunks, [len(g) * size for g in part]
+            leaders, leaders.index(leader), b"".join(mine),
+            [len(g) * size for g in part],
         )
         # Assemble the result in comm-rank order.
         ordered = [b""] * total
@@ -216,42 +215,3 @@ def _allgather(part, rank, block):
         binomial_bcast, members, rank, leader, data, total * size
     )
     return [data[i * size:(i + 1) * size] for i in range(total)]
-
-
-def hier_allreduce(
-    comm: Comm, send: np.ndarray, op: Op, tag: int
-) -> np.ndarray:
-    """Intra-group reduce -> leader allreduce -> intra-group bcast."""
-    return drive(comm, tag, _allreduce(partition(comm), comm.rank, send, op))
-
-
-def hier_bcast(
-    comm: Comm,
-    payload: bytes | None,
-    root: int,
-    tag: int,
-    nbytes: int,
-) -> bytes:
-    """Representative relay across groups, then intra-group fan-out."""
-    return drive(
-        comm, tag, _bcast(partition(comm), comm.rank, root, payload, nbytes)
-    )
-
-
-def hier_barrier(comm: Comm, tag: int) -> None:
-    """Intra-group fan-in -> leader barrier -> intra-group release."""
-    drive(comm, tag, _barrier(partition(comm), comm.rank))
-
-
-def hier_gather(
-    comm: Comm, payload: bytes, root: int, tag: int
-) -> list[bytes] | None:
-    """Intra-group gather to a representative, one message per group up."""
-    return drive(comm, tag, _gather(partition(comm), comm.rank, root, payload))
-
-
-def hier_allgather(
-    comm: Comm, payload: bytes, tag: int
-) -> list[bytes]:
-    """Intra-group gather -> leader ring of group blocks -> fan-out."""
-    return drive(comm, tag, _allgather(partition(comm), comm.rank, payload))

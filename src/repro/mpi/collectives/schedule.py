@@ -13,19 +13,24 @@ collective:
   resumes with the received bytes;
 * ``("reduce", op, a, b)`` — local combine; resumes with ``op(a, b)``.
 
-The flat collective is a schedule over ``range(size)``; every phase of the
-two-level collectives (:mod:`.hierarchy`) is the same schedule over a group
-or the leader list.  Exactly two interpreters run these steps: the
-discrete-event simulator (:mod:`repro.simulator.engine`), which prices them
-on a network model and tallies every message they deliver, and
-:func:`drive`, which is the only send path of these algorithms.
+Every blocking collective algorithm is one of these schedules; the
+selector's ``ALGORITHMS`` table names them.  The flat collective is a
+schedule over ``range(size)``; every phase of the two-level collectives
+(:mod:`.hierarchy`) is the same schedule over a group or the leader list.
+Exactly two interpreters run these steps: the discrete-event simulator
+(:mod:`repro.simulator.engine`), which prices them on a network model and
+tallies every message they deliver, and :func:`drive`, which is the only
+send path of the collectives.
 """
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from ..comm import Comm
+from ..exceptions import CountError
 from .base import (
     as_array,
     ceil_pow2,
@@ -35,6 +40,12 @@ from .base import (
     floor_pow2,
     to_bytes,
 )
+
+#: Length prefix: the size header of bcast/scatter and each alltoallv frame.
+LEN = struct.Struct("<q")
+
+#: Receive limit where the size is not known in advance.
+ANY_SIZE = 1 << 62
 
 
 def drive(comm: Comm, tag: int, sched):
@@ -59,9 +70,12 @@ def drive(comm: Comm, tag: int, sched):
             raise ValueError(f"unknown schedule step {step!r}")
 
 
-def flat(comm: Comm, tag: int, algorithm, *args):
-    """Drive ``algorithm`` over the whole communicator."""
-    return drive(comm, tag, algorithm(range(comm.size), comm.rank, *args))
+def _fold(op, parts, dtype):
+    """Combine byte blocks in list order: ``x0 op x1 op ... op x(m-1)``."""
+    acc = np.frombuffer(parts[0], dtype=dtype).copy()
+    for got in parts[1:]:
+        acc = yield ("reduce", op, acc, np.frombuffer(got, dtype=dtype))
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +147,23 @@ def binomial_gather(members, me, root, block):
     return held[m - root:] + held[:m - root]
 
 
-def scatter_allgather_bcast(members, me, root, data, nbytes):
-    """Van de Geijn broadcast: binomial scatter of ``m`` chunks, then a
-    ring allgather of the chunks."""
+def binomial_scatter(members, me, root, blocks, sizes):
+    """Mirror image of binomial gather: ``members[root]`` holds ``blocks``
+    (one per member, ``sizes[i]`` bytes for member ``i``) and pushes
+    contiguous subtree ranges down the tree.  Returns my block."""
     m = len(members)
     v = (me - root) % m
-    chunk = -(-nbytes // m)
-    edge = [min(i * chunk, nbytes) for i in range(m + 1)]  # chunk i: [i, i+1)
+    edge = [0]  # the block of v is [edge[v], edge[v + 1])
+    for i in range(m):
+        edge.append(edge[-1] + sizes[(root + i) % m])
     mask = _low_bit(v, m)
-    lo = 0
+    lo = edge[v]  # offset of the held range's first byte
     if v:
-        lo = edge[v]
         data = yield (
             "recv", members[(me - mask) % m], edge[min(v + mask, m)] - lo
         )
+    else:
+        data = b"".join(blocks[(root + i) % m] for i in range(m))
     mask >>= 1
     while mask:
         c = v + mask
@@ -156,26 +173,42 @@ def scatter_allgather_bcast(members, me, root, data, nbytes):
                 data[edge[c] - lo:edge[min(c + mask, m)] - lo],
             )
         mask >>= 1
-    chunks: list = [None] * m
-    chunks[v] = data[edge[v] - lo:edge[v + 1] - lo]
-    ring = [members[(root + i) % m] for i in range(m)]
+    return data[:edge[v + 1] - lo]
+
+
+def scatter_allgather_bcast(members, me, root, data, nbytes):
+    """Van de Geijn broadcast: binomial scatter of ``m`` chunks, then a
+    ring allgather of the chunks."""
+    m = len(members)
+    v = (me - root) % m
+    ring = [members[(root + i) % m] for i in range(m)]  # chunk i -> ring[i]
+    chunk = -(-nbytes // m)
+    edge = [min(i * chunk, nbytes) for i in range(m + 1)]
     sizes = [edge[i + 1] - edge[i] for i in range(m)]
-    chunks = yield from ring_allgather(ring, v, chunks, sizes)
-    return b"".join(chunks)
+    chunks = None
+    if data is not None:
+        view = memoryview(data)
+        chunks = [view[edge[i]:edge[i + 1]] for i in range(m)]
+    mine = yield from binomial_scatter(ring, v, 0, chunks, sizes)
+    return b"".join((yield from ring_allgather(ring, v, mine, sizes)))
 
 
 # ---------------------------------------------------------------------------
 # Rings
 # ---------------------------------------------------------------------------
 
-def ring_allgather(members, me, blocks, sizes, own=None):
+def ring_allgather(members, me, block, sizes=None, own=None):
     """``m - 1`` neighbour steps circulating ragged blocks.
 
-    ``blocks[own]`` (default ``blocks[me]``) is held on entry; block ``i``
-    is ``sizes[i]`` bytes.  Returns ``blocks``, now complete.
+    ``block`` is block ``own`` (default ``me``); block ``i`` is
+    ``sizes[i]`` bytes (default: all ``len(block)``).  Returns the blocks
+    in order.
     """
     m = len(members)
     own = me if own is None else own
+    sizes = [len(block)] * m if sizes is None else sizes
+    blocks: list = [None] * m
+    blocks[own] = block
     right, left = members[(me + 1) % m], members[(me - 1) % m]
     for step in range(m - 1):
         r = (own - step - 1) % m
@@ -204,16 +237,14 @@ def ring_allreduce(members, me, values, op):
         seg[...] = yield ("reduce", op, part, seg)
     # Segment me + 1 is now fully reduced here.
     own = (me + 1) % m
-    blocks: list = [None] * m
-    blocks[own] = to_bytes(segs[own])
     blocks = yield from ring_allgather(
-        members, me, blocks, [segs[0].nbytes] * m, own
+        members, me, to_bytes(segs[own]), own=own
     )
     return as_array(b"".join(blocks), work)[:n]
 
 
 # ---------------------------------------------------------------------------
-# Recursive doubling, dissemination, pairwise exchange
+# Recursive doubling and halving, dissemination
 # ---------------------------------------------------------------------------
 
 def recursive_doubling_allreduce(members, me, acc, op):
@@ -281,6 +312,60 @@ def recursive_doubling_allgather(members, me, block):
     return blocks
 
 
+def recursive_doubling_scan(members, me, values, op):
+    """Inclusive prefix reduction in log2 m rounds: every member ships its
+    running window ``2^k`` members up and prepends the window arriving
+    from below, so contributions combine in member order (safe for
+    non-commutative ops)."""
+    m = len(members)
+    nbytes, dtype = values.nbytes, values.dtype
+    result = values.copy()  # reduction over [?..me] -> goal [0..me]
+    window = values.copy()  # reduction over a contiguous trailing window
+    dist = 1
+    while dist < m:
+        if me + dist < m:
+            yield ("send", members[me + dist], to_bytes(window))
+        if me - dist >= 0:
+            got = yield ("recv", members[me - dist], nbytes)
+            part = np.frombuffer(got, dtype=dtype)
+            window = yield ("reduce", op, part, window)
+            result = yield ("reduce", op, part, result)
+        dist <<= 1
+    return result
+
+
+def recursive_halving_reduce_scatter(members, me, values, counts, op):
+    """log2 m rounds (``m`` a power of two, commutative ``op``): each
+    hands the partner ``me ^ mask`` the half of the still-active segment
+    range it gives up and folds in the half it keeps.  Member ``i`` ends
+    with segment ``i`` (``counts[i]`` elements)."""
+    m = len(members)
+    edge = [0]
+    for c in counts:
+        edge.append(edge[-1] + c)
+    work = values.copy()
+    lo, hi = 0, m  # members whose segments I still accumulate
+    mask = m // 2
+    while mask:
+        mid = (lo + hi) // 2
+        if me < mid:
+            keep, give = (lo, mid), (mid, hi)
+        else:
+            keep, give = (mid, hi), (lo, mid)
+        kept = slice(edge[keep[0]], edge[keep[1]])
+        peer = members[me ^ mask]
+        got = yield (
+            "sendrecv", peer, peer,
+            to_bytes(work[edge[give[0]]:edge[give[1]]]),
+            (kept.stop - kept.start) * values.itemsize,
+        )
+        part = np.frombuffer(got, dtype=values.dtype)
+        work[kept] = yield ("reduce", op, work[kept], part)
+        lo, hi = keep
+        mask >>= 1
+    return work[edge[me]:edge[me + 1]].copy()
+
+
 def dissemination_barrier(members, me):
     """ceil(log2 m) rounds of zero-byte tokens to ``me + 2^k``."""
     m = len(members)
@@ -291,6 +376,31 @@ def dissemination_barrier(members, me):
             b"", 0,
         )
         dist <<= 1
+
+
+# ---------------------------------------------------------------------------
+# All-to-all
+# ---------------------------------------------------------------------------
+
+def bruck_alltoall(members, me, blocks, nbytes):
+    """Bruck: ceil(log2 m) rounds; round k ships every block whose
+    remaining forward distance has bit k set ``2^k`` members ahead.
+    ``blocks[i]`` (``nbytes`` each) goes to member ``i``; returns the
+    received blocks in member order."""
+    m = len(members)
+    tmp = [blocks[(me + i) % m] for i in range(m)]  # tmp[i] -> me + i
+    dist = 1
+    while dist < m:
+        idxs = [i for i in range(m) if i & dist]
+        got = yield (
+            "sendrecv", members[(me + dist) % m], members[(me - dist) % m],
+            b"".join(tmp[i] for i in idxs), len(idxs) * nbytes,
+        )
+        for j, i in enumerate(idxs):
+            tmp[i] = got[j * nbytes:(j + 1) * nbytes]
+        dist <<= 1
+    # tmp[i] now came from member me - i.
+    return [tmp[(me - i) % m] for i in range(m)]
 
 
 def pairwise_alltoall(members, me, blocks, nbytes):
@@ -308,6 +418,24 @@ def pairwise_alltoall(members, me, blocks, nbytes):
     return out
 
 
+def pairwise_alltoallv(members, me, blocks):
+    """Pairwise exchange of ragged blocks, each framed with its length so
+    receivers need not know the sizes in advance."""
+    framed = [LEN.pack(len(b)) + bytes(b) for b in blocks]
+    got = yield from pairwise_alltoall(members, me, framed, ANY_SIZE)
+    out = []
+    for i, frame in enumerate(got):
+        (n,) = LEN.unpack(frame[:LEN.size])
+        body = frame[LEN.size:]
+        if len(body) != n:
+            raise CountError(
+                f"alltoallv frame from rank {members[i]} declares {n} "
+                f"bytes but carries {len(body)}"
+            )
+        out.append(body)
+    return out
+
+
 def pairwise_reduce_scatter(members, me, values, counts, op):
     """Pairwise exchange of segments (``counts`` elements each), then a
     fold in member order, so non-commutative ops see
@@ -317,12 +445,73 @@ def pairwise_reduce_scatter(members, me, values, counts, op):
         to_bytes(values[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])
     ]
     parts = yield from pairwise_alltoall(members, me, blocks, len(blocks[me]))
-    acc = np.frombuffer(parts[0], dtype=values.dtype).copy()
-    for got in parts[1:]:
-        part = np.frombuffer(got, dtype=values.dtype)
-        acc = yield ("reduce", op, acc, part)
+    return (yield from _fold(op, parts, values.dtype))
+
+
+# ---------------------------------------------------------------------------
+# Linear (root-centric) algorithms: baselines, the non-commutative reduce
+# and the v-variants
+# ---------------------------------------------------------------------------
+
+def linear_gather(members, me, root, block, limits=None):
+    """Every member sends straight to ``members[root]``, which takes at most
+    ``limits[i]`` bytes from member ``i`` (default ``len(block)``) and
+    returns the blocks in member order; everyone else ``None``."""
+    if me != root:
+        yield ("send", members[root], block)
+        return None
+    out = [block] * len(members)
+    for i, peer in enumerate(members):
+        if i != root:
+            out[i] = yield (
+                "recv", peer, len(block) if limits is None else limits[i]
+            )
+    return out
+
+
+def linear_scatter(members, me, root, blocks, sizes):
+    """``members[root]`` sends ``blocks[i]`` straight to member ``i``;
+    returns my block (at most ``sizes[me]`` bytes)."""
+    if me != root:
+        return (yield ("recv", members[root], sizes[me]))
+    for i, peer in enumerate(members):
+        if i != root:
+            yield ("send", peer, blocks[i])
+    return blocks[root]
+
+
+def linear_bcast(members, me, root, data, nbytes):
+    """Linear scatter of one payload."""
+    m = len(members)
+    blocks = None if data is None else [data] * m
+    return (yield from linear_scatter(members, me, root, blocks, [nbytes] * m))
+
+
+def linear_reduce(members, me, root, values, op):
+    """Linear gather to ``members[root]``, which folds the contributions in
+    member order — valid for non-commutative ops."""
+    parts = yield from linear_gather(members, me, root, to_bytes(values))
+    if parts is None:
+        return None
+    return (yield from _fold(op, parts, values.dtype))
+
+
+def linear_scan(members, me, values, op):
+    """A chain: member ``i`` prepends member ``i - 1``'s prefix to its own
+    contribution and passes the result on."""
+    if me:
+        got = yield ("recv", members[me - 1], values.nbytes)
+        acc = yield ("reduce", op, np.frombuffer(got, values.dtype), values)
+    else:
+        acc = values.copy()
+    if me + 1 < len(members):
+        yield ("send", members[me + 1], to_bytes(acc))
     return acc
 
+
+# ---------------------------------------------------------------------------
+# Composed algorithms
+# ---------------------------------------------------------------------------
 
 def rabenseifner_reduce(members, me, root, values, op):
     """Pairwise reduce-scatter of equal (zero-padded) segments, then a
@@ -339,3 +528,26 @@ def rabenseifner_reduce(members, me, root, values, op):
     if segs is None:
         return None
     return as_array(b"".join(segs), values)[:n]
+
+
+def reduce_bcast_allreduce(members, me, values, op):
+    """Reduce to ``members[0]``, then a binomial broadcast.  A
+    non-commutative ``op`` reduces linearly, in member order."""
+    reduce = binomial_reduce if op.Is_commutative() else linear_reduce
+    acc = yield from reduce(members, me, 0, values, op)
+    data = yield from binomial_bcast(
+        members, me, 0, None if acc is None else to_bytes(acc), values.nbytes
+    )
+    return as_array(data, values)
+
+
+def gather_bcast_allgather(members, me, block):
+    """Binomial gather to ``members[0]``, then a binomial broadcast of the
+    concatenation (baseline/ablation only)."""
+    m, size = len(members), len(block)
+    blocks = yield from binomial_gather(members, me, 0, block)
+    data = yield from binomial_bcast(
+        members, me, 0, None if blocks is None else b"".join(blocks),
+        m * size,
+    )
+    return [data[i * size:(i + 1) * size] for i in range(m)]

@@ -1,9 +1,11 @@
-"""Algorithm selection for collectives.
+"""Which algorithm runs: the algorithm table and its selection.
 
 Real MPI libraries (the paper uses MVAPICH2) switch collective algorithms
 on message size and communicator size via tuning tables.  This module is a
 small, inspectable version of such a table, with a global override hook the
-ablation benchmarks use to force a particular algorithm across a sweep.
+ablation benchmarks use to force a particular algorithm across a sweep, and
+the eligibility fallbacks that hand an algorithm which cannot run the
+arguments over to one that can.
 """
 
 from __future__ import annotations
@@ -11,6 +13,70 @@ from __future__ import annotations
 import threading
 
 from ...knobs import COLL, read
+from . import hierarchy
+from . import schedule as s
+from .base import is_power_of_two
+
+#: Every blocking collective algorithm, as the schedule that runs it.  A
+#: flat schedule is called ``(range(size), rank, *args)``, a hierarchical
+#: one ``(partition, rank, *args)``; ``args`` per op:
+#:
+#: ============== =============================
+#: bcast          ``root, data, nbytes``
+#: allreduce      ``values, op``
+#: allgather      ``block``
+#: alltoall       ``blocks, nbytes``
+#: reduce         ``root, values, op``
+#: reduce_scatter ``values, counts, op``
+#: gather         ``root, block``
+#: scatter        ``root, blocks, sizes``
+#: barrier        (none)
+#: scan           ``values, op``
+#: ============== =============================
+ALGORITHMS = {
+    "bcast": {
+        "binomial": s.binomial_bcast,
+        "scatter_allgather": s.scatter_allgather_bcast,
+        "linear": s.linear_bcast,
+        "hierarchical": hierarchy.hierarchical_bcast,
+    },
+    "allreduce": {
+        "recursive_doubling": s.recursive_doubling_allreduce,
+        "ring": s.ring_allreduce,
+        "reduce_bcast": s.reduce_bcast_allreduce,
+        "hierarchical": hierarchy.hierarchical_allreduce,
+    },
+    "allgather": {
+        "recursive_doubling": s.recursive_doubling_allgather,
+        "ring": s.ring_allgather,
+        "linear": s.gather_bcast_allgather,
+        "hierarchical": hierarchy.hierarchical_allgather,
+    },
+    "alltoall": {"bruck": s.bruck_alltoall, "pairwise": s.pairwise_alltoall},
+    "reduce": {
+        "binomial": s.binomial_reduce,
+        "rabenseifner": s.rabenseifner_reduce,
+        "linear": s.linear_reduce,
+    },
+    "reduce_scatter": {
+        "recursive_halving": s.recursive_halving_reduce_scatter,
+        "pairwise": s.pairwise_reduce_scatter,
+    },
+    "gather": {
+        "binomial": s.binomial_gather,
+        "linear": s.linear_gather,
+        "hierarchical": hierarchy.hierarchical_gather,
+    },
+    "scatter": {"binomial": s.binomial_scatter, "linear": s.linear_scatter},
+    "barrier": {
+        "dissemination": s.dissemination_barrier,
+        "hierarchical": hierarchy.hierarchical_barrier,
+    },
+    "scan": {
+        "recursive_doubling": s.recursive_doubling_scan,
+        "linear": s.linear_scan,
+    },
+}
 
 # Switch points (bytes), modelled on common MVAPICH2/MPICH defaults.
 BCAST_SHORT_MSG = 16384          # binomial below, scatter+allgather above
@@ -51,11 +117,19 @@ def forced(op: str) -> str | None:
 #: Collectives with a topology-aware two-level implementation
 #: (:mod:`repro.mpi.collectives.hierarchy`).
 HIERARCHICAL_OPS = frozenset(
-    {"allreduce", "bcast", "barrier", "gather", "allgather"}
+    op for op, algs in ALGORITHMS.items() if "hierarchical" in algs
 )
 
 
-def pick(op: str, nbytes: int, size: int, groups=None) -> str:
+def pick(
+    op: str,
+    nbytes: int,
+    size: int,
+    groups=None,
+    *,
+    count: int | None = None,
+    commutative: bool = True,
+) -> str:
     """Select the algorithm name for one collective invocation.
 
     ``groups`` is the communicator's effective group partition (from
@@ -65,7 +139,34 @@ def pick(op: str, nbytes: int, size: int, groups=None) -> str:
     collectives take precedence whenever the topology is known.  An
     explicit override (:func:`force` / ``OMBPY_COLL_<OP>``) still beats
     everything, so flat-vs-hierarchical ablations stay possible.
+
+    The choice then has to run the arguments (``count`` elements per
+    rank, ``commutative`` op), forced or not: a non-commutative reduce
+    or allreduce keeps rank order (linear, reduce_bcast); recursive
+    doubling allgather and recursive halving need a power-of-two size,
+    and halving a commutative op (else ring, pairwise); ring allreduce
+    and Rabenseifner need at least one element per rank (else recursive
+    doubling, binomial).
     """
+    if not commutative and op in ("allreduce", "reduce"):
+        return "reduce_bcast" if op == "allreduce" else "linear"
+    alg = _preferred(op, nbytes, size, groups)
+    if alg == "recursive_doubling" and op == "allgather" \
+            and not is_power_of_two(size):
+        return "ring"
+    if alg == "recursive_halving" \
+            and not (is_power_of_two(size) and commutative):
+        return "pairwise"
+    if count is not None and count < size:
+        if alg == "ring" and op == "allreduce":
+            return "recursive_doubling"
+        if alg == "rabenseifner":
+            return "binomial"
+    return alg
+
+
+def _preferred(op: str, nbytes: int, size: int, groups) -> str:
+    """The override, the two-level algorithm or the size-based table."""
     override = forced(op)
     if override is not None:
         if override == "hierarchical" and groups is None:
@@ -113,21 +214,7 @@ def pick(op: str, nbytes: int, size: int, groups=None) -> str:
 
 def available(op: str) -> tuple[str, ...]:
     """List the algorithms implemented for ``op`` (for ablations/tests)."""
-    table = {
-        "bcast": ("binomial", "scatter_allgather", "linear", "hierarchical"),
-        "allreduce": (
-            "recursive_doubling", "ring", "reduce_bcast", "hierarchical",
-        ),
-        "allgather": ("recursive_doubling", "ring", "linear", "hierarchical"),
-        "alltoall": ("bruck", "pairwise"),
-        "reduce": ("binomial", "rabenseifner", "linear"),
-        "reduce_scatter": ("recursive_halving", "pairwise"),
-        "gather": ("binomial", "linear", "hierarchical"),
-        "scatter": ("binomial", "linear"),
-        "barrier": ("dissemination", "hierarchical"),
-        "scan": ("recursive_doubling", "linear"),
-    }
-    return table[op]
+    return tuple(ALGORITHMS[op])
 
 
 def _forced_from_env() -> dict[str, str]:

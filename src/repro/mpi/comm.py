@@ -291,126 +291,128 @@ class Comm:
 
     def barrier(self) -> None:
         """Block until all ranks have entered the barrier."""
-        from .collectives import barrier
+        from .collectives import blocking
 
         self._verify_collective("barrier")
-        self._run_coll("barrier", barrier.barrier, self)
+        self._run_coll("barrier", blocking.barrier, self)
 
     def bcast_bytes(self, payload: bytes | None, root: int) -> bytes:
         """Broadcast raw bytes from ``root``; all ranks return the data."""
-        from .collectives import bcast
+        from .collectives import blocking
 
         self._check_root(root)
         self._verify_collective("bcast", root)
-        return self._run_coll("bcast", bcast.bcast, self, payload, root)
+        return self._run_coll("bcast", blocking.bcast, self, payload, root)
 
     def reduce_array(
         self, send: np.ndarray, op, root: int
     ) -> np.ndarray | None:
         """Reduce arrays elementwise to ``root``; non-roots return None."""
-        from .collectives import reduce as reduce_mod
+        from .collectives import blocking
 
         self._check_root(root)
         self._verify_collective("reduce", root, op)
-        return self._run_coll("reduce", reduce_mod.reduce, self, send, op, root)
+        return self._run_coll("reduce", blocking.reduce, self, send, op, root)
 
     def allreduce_array(self, send: np.ndarray, op) -> np.ndarray:
         """Reduce arrays elementwise; every rank returns the result."""
-        from .collectives import allreduce
+        from .collectives import blocking
 
         self._verify_collective("allreduce", op=op)
-        return self._run_coll("allreduce", allreduce.allreduce, self, send, op)
+        return self._run_coll("allreduce", blocking.allreduce, self, send, op)
 
     def gather_bytes(self, payload: bytes, root: int) -> list[bytes] | None:
         """Gather equal-size byte blocks to ``root``."""
-        from .collectives import gather
+        from .collectives import blocking
 
         self._check_root(root)
         self._verify_collective("gather", root)
-        return self._run_coll("gather", gather.gather, self, payload, root)
+        return self._run_coll("gather", blocking.gather, self, payload, root)
 
     def scatter_bytes(
         self, blocks: Sequence[bytes] | None, root: int
     ) -> bytes:
         """Scatter one byte block per rank from ``root``."""
-        from .collectives import scatter
+        from .collectives import blocking
 
         self._check_root(root)
         self._verify_collective("scatter", root)
-        return self._run_coll("scatter", scatter.scatter, self, blocks, root)
+        return self._run_coll("scatter", blocking.scatter, self, blocks, root)
 
     def allgather_bytes(self, payload: bytes) -> list[bytes]:
         """All ranks gather every rank's equal-size block."""
-        from .collectives import allgather
+        from .collectives import blocking
 
         self._verify_collective("allgather")
-        return self._run_coll("allgather", allgather.allgather, self, payload)
+        return self._run_coll("allgather", blocking.allgather, self, payload)
 
     def alltoall_bytes(self, blocks: Sequence[bytes]) -> list[bytes]:
         """Personalized all-to-all exchange of byte blocks."""
-        from .collectives import alltoall
+        from .collectives import blocking
 
         self._verify_collective("alltoall")
-        return self._run_coll("alltoall", alltoall.alltoall, self, blocks)
+        return self._run_coll("alltoall", blocking.alltoall, self, blocks)
 
     def reduce_scatter_array(
         self, send: np.ndarray, counts: Sequence[int], op
     ) -> np.ndarray:
         """Reduce then scatter segments of ``counts`` elements per rank."""
-        from .collectives import reduce_scatter
+        from .collectives import blocking
 
         self._verify_collective("reduce_scatter", op=op)
         return self._run_coll(
-            "reduce_scatter", reduce_scatter.reduce_scatter,
+            "reduce_scatter", blocking.reduce_scatter,
             self, send, counts, op,
         )
 
     def scan_array(self, send: np.ndarray, op) -> np.ndarray:
         """Inclusive prefix reduction over ranks."""
-        from .collectives import scan
+        from .collectives import blocking
 
         self._verify_collective("scan", op=op)
-        return self._run_coll("scan", scan.scan, self, send, op)
+        return self._run_coll("scan", blocking.scan, self, send, op)
 
     def gatherv_bytes(
         self, payload: bytes, counts: Sequence[int] | None, root: int
     ) -> list[bytes] | None:
         """Gather variable-size byte blocks to ``root``."""
-        from .collectives import vector
+        from .collectives import blocking
 
         self._check_root(root)
         self._verify_collective("gatherv", root)
         return self._run_coll(
-            "gatherv", vector.gatherv, self, payload, counts, root
+            "gatherv", blocking.gatherv, self, payload, counts, root
         )
 
     def scatterv_bytes(
         self, blocks: Sequence[bytes] | None, root: int
     ) -> bytes:
         """Scatter variable-size byte blocks from ``root``."""
-        from .collectives import vector
+        from .collectives import blocking
 
         self._check_root(root)
         self._verify_collective("scatterv", root)
-        return self._run_coll("scatterv", vector.scatterv, self, blocks, root)
+        return self._run_coll(
+            "scatterv", blocking.scatterv, self, blocks, root
+        )
 
     def allgatherv_bytes(
         self, payload: bytes, counts: Sequence[int]
     ) -> list[bytes]:
         """All-gather of variable-size byte blocks."""
-        from .collectives import vector
+        from .collectives import blocking
 
         self._verify_collective("allgatherv")
         return self._run_coll(
-            "allgatherv", vector.allgatherv, self, payload, counts
+            "allgatherv", blocking.allgatherv, self, payload, counts
         )
 
     def alltoallv_bytes(self, blocks: Sequence[bytes]) -> list[bytes]:
         """Personalized all-to-all of variable-size byte blocks."""
-        from .collectives import vector
+        from .collectives import blocking
 
         self._verify_collective("alltoallv")
-        return self._run_coll("alltoallv", vector.alltoallv, self, blocks)
+        return self._run_coll("alltoallv", blocking.alltoallv, self, blocks)
 
     def _check_root(self, root: int) -> None:
         if not 0 <= root < self.size:

@@ -208,13 +208,12 @@ def _wire_from_env(rank: int, size: int):
     # Rendezvous with the launcher: report our port, get the full map.
     with socket.create_connection((coord_host, int(coord_port)), timeout=60) as cs:
         cs.sendall(f"{rank} {my_port}\n".encode())
-        buf = b""
-        while not buf.endswith(b"\n"):
-            chunk = cs.recv(65536)
-            if not chunk:
-                raise InternalError("coordinator closed during rendezvous")
-            buf += chunk
-    port_map = {int(k): int(v) for k, v in json.loads(buf.decode()).items()}
+        with cs.makefile("rb") as reader:
+            line = reader.readline()
+    if not line.endswith(b"\n"):
+        listen.close()
+        raise InternalError("coordinator closed during rendezvous")
+    port_map = {int(k): int(v) for k, v in json.loads(line.decode()).items()}
 
     return TcpTransport(rank, size, listen, port_map)
 

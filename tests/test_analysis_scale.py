@@ -5,6 +5,7 @@ analytic model computes for the same pattern."""
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 
 from repro.analysis.interproc import Program, load_program
@@ -17,6 +18,7 @@ from repro.analysis.scale import (
     run_scale_rules,
     scale_inventory,
 )
+from repro.mpi.collectives import schedule
 from repro.simulator.collective_cost import _ceil_log2
 
 
@@ -77,6 +79,41 @@ class TestDetection:
             "        out = comm.sendrecv_bytes(buf, peer, 1, peer, 1, 64)\n"
         )
         assert rules_of(src) == []
+
+    def test_linear_schedule_steps_are_flagged(self):
+        # A collective schedule's sends and receives are yielded steps,
+        # and a loop over its member list is a rank loop.
+        gather = (
+            "def gather(members, me, root, block):\n"
+            "    out = [block] * len(members)\n"
+            "    for i, peer in enumerate(members):\n"
+            "        if i != root:\n"
+            "            out[i] = yield ('recv', peer, len(block))\n"
+            "    return out\n"
+        )
+        scatter = (
+            "def scatter(members, me, root, blocks):\n"
+            "    for i in range(len(members)):\n"
+            "        yield ('send', members[i], blocks[i])\n"
+        )
+        assert rules_of(gather) == ["OMB511"]
+        assert rules_of(scatter) == ["OMB512"]
+
+    def test_schedules_flag_exactly_the_linear_algorithms(self):
+        findings = run_scale_rules(program_of(inspect.getsource(schedule)))
+        assert sorted(
+            (f.rule, re.match(r"'(\w+)'", f.message).group(1))
+            for f in findings
+        ) == [("OMB511", "linear_gather"), ("OMB512", "linear_scatter")]
+
+    def test_tree_and_ring_schedules_are_not_flagged(self):
+        for fn in (
+            schedule.binomial_bcast, schedule.binomial_gather,
+            schedule.binomial_scatter, schedule.ring_allgather,
+            schedule.ring_allreduce, schedule.pairwise_alltoall,
+            schedule.bruck_alltoall, schedule.dissemination_barrier,
+        ):
+            assert rules_of(inspect.getsource(fn)) == [], fn.__name__
 
     def test_bounded_loop_is_not_flagged(self):
         src = (

@@ -71,6 +71,21 @@ class TestDeadlockDetection:
         with pytest.raises(DeadlockError, match="rank 0"):
             run_on_threads(2, body, timeout=30)
 
+    def test_blocked_scatter_is_named(self):
+        """A receive blocked inside scatter names the collective, like
+        every other collective's internal tag."""
+
+        def body(comm):
+            with verify(comm, **FAST):
+                if comm.rank == 0:
+                    comm.recv_bytes(1, 7, 64)  # the root never scatters
+                else:
+                    comm.scatter_bytes(None, 0)
+
+        with pytest.raises(DeadlockError) as excinfo:
+            run_on_threads(2, body, timeout=30)
+        assert "in collective 'scatter'" in str(excinfo.value)
+
     def test_ping_pong_not_a_false_positive(self):
         """Alternating blocking traffic momentarily looks like mutual
         waiting; the done()-recheck must keep it clean."""

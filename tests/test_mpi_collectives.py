@@ -26,6 +26,53 @@ def run_forced(op, algorithm, n, work, timeout=60.0):
         selector.force(op, None)
 
 
+def test_available_algorithms_are_the_documented_set():
+    """Algorithm names are public (``OMBPY_COLL_<OP>``, ablations): the
+    table must keep every one, in this order."""
+    assert {op: selector.available(op) for op in selector.ALGORITHMS} == {
+        "bcast": ("binomial", "scatter_allgather", "linear", "hierarchical"),
+        "allreduce": (
+            "recursive_doubling", "ring", "reduce_bcast", "hierarchical",
+        ),
+        "allgather": ("recursive_doubling", "ring", "linear", "hierarchical"),
+        "alltoall": ("bruck", "pairwise"),
+        "reduce": ("binomial", "rabenseifner", "linear"),
+        "reduce_scatter": ("recursive_halving", "pairwise"),
+        "gather": ("binomial", "linear", "hierarchical"),
+        "scatter": ("binomial", "linear"),
+        "barrier": ("dissemination", "hierarchical"),
+        "scan": ("recursive_doubling", "linear"),
+    }
+
+
+def test_eligibility_fallbacks():
+    """A forced algorithm that cannot run the arguments hands over."""
+    cases = [
+        # (op, forced, size, count, commutative) -> runs
+        (("allgather", "recursive_doubling", 6, None, True), "ring"),
+        (("allgather", "recursive_doubling", 8, None, True),
+         "recursive_doubling"),
+        (("reduce_scatter", "recursive_halving", 6, None, True), "pairwise"),
+        (("reduce_scatter", "recursive_halving", 8, None, False),
+         "pairwise"),
+        (("allreduce", "ring", 8, 7, True), "recursive_doubling"),
+        (("allreduce", "ring", 8, 8, True), "ring"),
+        (("reduce", "rabenseifner", 8, 7, True), "binomial"),
+        (("allreduce", "ring", 8, 64, False), "reduce_bcast"),
+        (("reduce", "binomial", 8, 64, False), "linear"),
+        (("scan", "recursive_doubling", 8, 64, False), "recursive_doubling"),
+    ]
+    for (op, alg, size, count, commutative), expect in cases:
+        selector.force(op, alg)
+        try:
+            got = selector.pick(
+                op, 64, size, count=count, commutative=commutative
+            )
+        finally:
+            selector.force(op, None)
+        assert got == expect, (op, alg, size, count, commutative)
+
+
 class TestBarrier:
     @pytest.mark.parametrize("n", SIZES)
     def test_barrier_completes(self, n):

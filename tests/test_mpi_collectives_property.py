@@ -2,7 +2,6 @@
 arbitrary payloads, ops, and world sizes."""
 
 import os
-import struct
 from types import SimpleNamespace
 from unittest import mock
 
@@ -167,20 +166,18 @@ def test_gatherv_concatenation_order(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# Runtime == schedule.  Every algorithm written in
-# repro.mpi.collectives.schedule, forced, at p = 1..17: the result is
-# bitwise equal to a NumPy oracle, and the messages the runtime sends
-# (comm.msgs_sent) are exactly the messages the simulator's engine
-# delivers when it runs the same schedule.
+# Runtime == schedule.  Every flat algorithm in the selector's table,
+# forced, at p = 1..17: the result is bitwise equal to a NumPy oracle,
+# and the messages the runtime sends (comm.msgs_sent) are exactly the
+# messages the simulator's engine delivers when it runs the schedule the
+# table names for the same arguments.
 # ---------------------------------------------------------------------------
 
 SCHEDULED = [
-    ("bcast", "binomial"), ("bcast", "scatter_allgather"),
-    ("reduce", "binomial"), ("reduce", "rabenseifner"),
-    ("allreduce", "recursive_doubling"), ("allreduce", "ring"),
-    ("gather", "binomial"),
-    ("allgather", "ring"), ("allgather", "recursive_doubling"),
-    ("alltoall", "pairwise"), ("barrier", "dissemination"),
+    (op, alg)
+    for op in sorted(selector.ALGORITHMS)
+    for alg in selector.available(op)
+    if alg != "hierarchical"
 ]
 _EXACT = {"SUM": np.add, "MAX": np.maximum, "BXOR": np.bitwise_xor}
 
@@ -195,65 +192,76 @@ def _runtime(op, comm, d):
         return comm.allreduce_array(d.xs[r], d.op)
     if op == "gather":
         return comm.gather_bytes(d.blks[r], d.root)
+    if op == "scatter":
+        return comm.scatter_bytes(d.blks if r == d.root else None, d.root)
     if op == "allgather":
         return comm.allgather_bytes(d.blks[r])
     if op == "alltoall":
         return comm.alltoall_bytes(d.matrix[r])
+    if op == "reduce_scatter":
+        return comm.reduce_scatter_array(d.rs[r], d.counts, d.op)
+    if op == "scan":
+        return comm.scan_array(d.xs[r], d.op)
     return comm.barrier()
 
 
-def _bcast_with_header(body, members, me, root, payload, nbytes):
-    # bcast() first broadcasts the payload length on a binomial tree.
-    hdr = struct.pack("<q", nbytes) if me == root else None
-    yield from s.binomial_bcast(members, me, root, hdr, 8)
-    yield from body(members, me, root, payload, nbytes)
-
-
-def _schedule(op, alg, r, d):
-    m = range(d.p)
+def _args(op, r, d):
+    """The table's schedule arguments for rank r (after the comm's
+    ``members, me``)."""
+    n = len(d.blks[0])
     if op == "bcast":
-        body = {"binomial": s.binomial_bcast,
-                "scatter_allgather": s.scatter_allgather_bcast}[alg]
-        payload = d.blks[d.root]
-        return _bcast_with_header(
-            body, m, r, d.root, payload if r == d.root else None,
-            len(payload),
-        )
+        return d.root, d.blks[d.root] if r == d.root else None, n
     if op == "reduce":
-        fn = {"binomial": s.binomial_reduce,
-              "rabenseifner": s.rabenseifner_reduce}[alg]
-        return fn(m, r, d.root, d.xs[r], d.op)
-    if op == "allreduce":
-        fn = {"recursive_doubling": s.recursive_doubling_allreduce,
-              "ring": s.ring_allreduce}[alg]
-        return fn(m, r, d.xs[r], d.op)
+        return d.root, d.xs[r], d.op
+    if op in ("allreduce", "scan"):
+        return d.xs[r], d.op
     if op == "gather":
-        return s.binomial_gather(m, r, d.root, d.blks[r])
+        return d.root, d.blks[r]
+    if op == "scatter":
+        return d.root, d.blks if r == d.root else None, [n] * d.p
     if op == "allgather":
-        if alg == "recursive_doubling" and d.p & (d.p - 1) == 0:
-            return s.recursive_doubling_allgather(m, r, d.blks[r])
-        # The runtime runs the ring when doubling needs a power of two.
-        blocks = [None] * d.p
-        blocks[r] = d.blks[r]
-        return s.ring_allgather(m, r, blocks, [len(d.blks[r])] * d.p)
+        return (d.blks[r],)
     if op == "alltoall":
-        return s.pairwise_alltoall(m, r, d.matrix[r], len(d.blks[0]))
-    return s.dissemination_barrier(m, r)
+        return d.matrix[r], n
+    if op == "reduce_scatter":
+        return d.rs[r], d.counts, d.op
+    return ()
+
+
+def _program(op, r, d):
+    # The selector's eligibility fallbacks decide what a forced
+    # algorithm really runs at these arguments.
+    alg = selector.pick(op, 0, d.p, count=len(d.xs[0]))
+    body = selector.ALGORITHMS[op][alg](range(d.p), r, *_args(op, r, d))
+    if op in ("bcast", "scatter"):
+        # Non-roots learn the size from a binomial length header first.
+        n = len(d.blks[0])
+        hdr = s.LEN.pack(n) if r == d.root else None
+        yield from s.binomial_bcast(range(d.p), r, d.root, hdr, s.LEN.size)
+    return (yield from body)
 
 
 def _oracle(op, r, d):
+    reduce = _EXACT[d.opname].reduce
     if op == "bcast":
         return d.blks[d.root]
     if op in ("reduce", "allreduce"):
         if op == "reduce" and r != d.root:
             return None
-        return _EXACT[d.opname].reduce(np.stack(d.xs), axis=0)
+        return reduce(np.stack(d.xs), axis=0)
     if op == "gather":
         return d.blks if r == d.root else None
+    if op == "scatter":
+        return d.blks[r]
     if op == "allgather":
         return d.blks
     if op == "alltoall":
         return [d.matrix[i][r] for i in range(d.p)]
+    if op == "reduce_scatter":
+        lo = sum(d.counts[:r])
+        return reduce(np.stack(d.rs), axis=0)[lo:lo + d.counts[r]]
+    if op == "scan":
+        return reduce(np.stack(d.xs[:r + 1]), axis=0)
     return None
 
 
@@ -267,9 +275,13 @@ def test_runtime_runs_the_schedule(op, alg, p, opname, extra, seed):
     rng = np.random.default_rng(seed)
     # count >= p keeps ring/rabenseifner from falling back to trees.
     count = p + extra % 8
+    counts = [int(c) for c in rng.integers(0, 4, p)]
     d = SimpleNamespace(
         p=p, root=seed % p, opname=opname, op=getattr(ops, opname),
         xs=[rng.integers(-2**40, 2**40, count).astype("i8")
+            for _ in range(p)],
+        counts=counts,
+        rs=[rng.integers(-2**40, 2**40, sum(counts)).astype("i8")
             for _ in range(p)],
         blks=[rng.bytes(extra) for _ in range(p)],
         matrix=[[rng.bytes(extra) for _ in range(p)] for _ in range(p)],
@@ -288,6 +300,10 @@ def test_runtime_runs_the_schedule(op, alg, p, opname, extra, seed):
     try:
         with mock.patch.dict(os.environ, {"OMBPY_METRICS": "1"}):
             results = run_on_threads(p, work, timeout=60)
+        tally = simulate(
+            [_program(op, r, d) for r in range(p)],
+            NetworkModel(alpha_us=1.0, beta_us_per_byte=0.0),
+        )
     finally:
         selector.force(op, None)
 
@@ -298,8 +314,4 @@ def test_runtime_runs_the_schedule(op, alg, p, opname, extra, seed):
             assert out.tobytes() == expect.tobytes()
         else:
             assert out == expect
-    tally = simulate(
-        [_schedule(op, alg, r, d) for r in range(p)],
-        NetworkModel(alpha_us=1.0, beta_us_per_byte=0.0),
-    )
     assert sum(n for _, n in results) == tally.msgs

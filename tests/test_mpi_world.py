@@ -93,6 +93,41 @@ class TestWorldLifecycle:
 
 
 @pytest.mark.slow
+class TestTcpRendezvous:
+    def test_coordinator_hanging_up_early_is_reported(self, monkeypatch):
+        """A coordinator that closes before the port map's newline fails
+        the rank with a named error, not a hang or a JSON error."""
+        import socket
+        import threading
+
+        from repro.knobs import ENV_COORD, ENV_TRANSPORT
+        from repro.mpi.exceptions import InternalError
+        from repro.mpi.world import _wire_from_env
+
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def coordinator():
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(64)
+                conn.sendall(b'{"0": 1')  # truncated: no newline
+
+        thread = threading.Thread(target=coordinator)
+        thread.start()
+        monkeypatch.setenv(ENV_TRANSPORT, "tcp")
+        monkeypatch.setenv(
+            ENV_COORD, f"127.0.0.1:{server.getsockname()[1]}"
+        )
+        try:
+            with pytest.raises(
+                InternalError, match="coordinator closed during rendezvous"
+            ):
+                _wire_from_env(0, 1)
+        finally:
+            thread.join(10)
+            server.close()
+
+
 class TestRunOnProcesses:
     def test_wrapper_launches_script(self, tmp_path):
         script = tmp_path / "job.py"

@@ -3,8 +3,9 @@
 The discrete-event engine runs the runtime's own collective schedules
 (:mod:`repro.mpi.collectives.schedule`).  Where the analytic formula is
 exact for the algorithm (barrier, ring allgather, recursive doubling on
-power-of-two sizes, pairwise alltoall, binomial bcast on power-of-two
-sizes), the simulation must match it to floating-point tolerance.
+power-of-two sizes, pairwise and Bruck alltoall, binomial bcast and
+scatter and recursive-halving reduce-scatter on power-of-two sizes), the
+simulation must match it to floating-point tolerance.
 """
 
 import math
@@ -21,6 +22,8 @@ from repro.simulator.collective_cost import (
     alltoall_us,
     barrier_us,
     bcast_us,
+    reduce_scatter_us,
+    scatter_us,
 )
 from repro.simulator.engine import simulate, simulate_collective
 from repro.simulator.loggp import NetworkModel
@@ -48,9 +51,7 @@ def _allreduce_rd(r, p, n):
 
 
 def _ring_allgather(r, p, n):
-    blocks = [None] * p
-    blocks[r] = bytes(n)
-    return s.ring_allgather(range(p), r, blocks, [n] * p)
+    return s.ring_allgather(range(p), r, bytes(n))
 
 
 class TestBarrier:
@@ -140,6 +141,12 @@ class TestAlltoall:
         sim = _sim(s.pairwise_alltoall, p, [bytes(n)] * p, n)
         assert sim == pytest.approx((p - 1) * NET.latency_us(n))
 
+    @pytest.mark.parametrize("p", (4, 8, 16))
+    @pytest.mark.parametrize("n", (8, 256))
+    def test_bruck_pow2_matches(self, p, n):
+        sim = _sim(s.bruck_alltoall, p, [bytes(n)] * p, n)
+        assert sim == pytest.approx(alltoall_us(NET, p, n))
+
     def test_analytic_selector_uses_pairwise_for_large(self):
         p, n = 8, 2048
         assert alltoall_us(NET, p, n) == pytest.approx(
@@ -161,6 +168,34 @@ class TestGather:
         # fully-serialized bound and at least the largest single message.
         assert sim <= expect + 1e-9
         assert sim >= NET.latency_us(n * p // 2)
+
+
+class TestScatter:
+    @pytest.mark.parametrize("p", (2, 4, 8, 16))
+    @pytest.mark.parametrize("n", (64, 4096))
+    def test_binomial_pow2_matches(self, p, n):
+        # The path to the last leaf carries p/2, p/4, ..., 1 blocks.
+        sim = simulate_collective(
+            lambda r, p: s.binomial_scatter(
+                range(p), r, 0, [bytes(n)] * p if r == 0 else None,
+                [n] * p,
+            ),
+            p, NET,
+        )
+        assert sim == pytest.approx(scatter_us(NET, p, n))
+
+
+class TestReduceScatter:
+    @pytest.mark.parametrize("p", (2, 4, 8, 16))
+    @pytest.mark.parametrize("count", (1, 64))
+    def test_recursive_halving_pow2_matches(self, p, count):
+        # Round k sends and folds n/2^k bytes of the n-byte vector.
+        n = 8 * count * p
+        sim = _sim(
+            s.recursive_halving_reduce_scatter, p, np.ones(count * p),
+            [count] * p, ops.SUM,
+        )
+        assert sim == pytest.approx(reduce_scatter_us(NET, p, n))
 
 
 class TestPythonOverheadKnob:
