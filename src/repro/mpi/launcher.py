@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import queue
 import signal
 import socket
 import subprocess
@@ -48,8 +49,6 @@ from .exceptions import RANK_FAILED_EXIT
 #: enough for survivors' failure detectors (EOF-based, sub-second) to
 #: raise RankFailedError and exit with their own diagnostics.
 DEFAULT_FAILFAST_GRACE = 8.0
-
-_POLL_INTERVAL = 0.05
 
 
 def _coordinate(server: socket.socket, n: int, timeout: float) -> None:
@@ -119,8 +118,15 @@ def _supervise(
     grace: float,
     interrupted: threading.Event,
     failfast: bool = True,
+    wake: queue.SimpleQueue | None = None,
 ) -> tuple[list[int | None], tuple[int, int] | None]:
-    """Poll all ranks concurrently; fail-fast on the first non-zero exit.
+    """Wait on all ranks concurrently; fail-fast on the first non-zero exit.
+
+    One thread per rank blocks in ``proc.wait()`` and puts ``(rank,
+    code)`` on ``wake``; a caller's signal handler puts ``None`` there
+    after setting ``interrupted``.  The supervisor blocks on that one
+    queue, timed to the fail-fast kill and the job timeout, so it acts
+    the moment a rank exits.
 
     With ``failfast=False`` (the ``--recover`` mode) a rank failure does
     not doom its survivors: they are expected to shrink their
@@ -131,45 +137,48 @@ def _supervise(
     None).  Raises ``subprocess.TimeoutExpired`` if the whole job exceeds
     ``timeout`` (children are killed first).
     """
-    n = len(procs)
-    start = time.monotonic()
-    exit_codes: list[int | None] = [None] * n
+    if wake is None:
+        wake = queue.SimpleQueue()
+    for rank, proc in enumerate(procs):
+        threading.Thread(
+            target=lambda r=rank, p=proc: wake.put((r, p.wait())),
+            name=f"ombpy-run-wait-{rank}", daemon=True,
+        ).start()
+    end = time.monotonic() + timeout
+    exit_codes: list[int | None] = [None] * len(procs)
     failures: list[tuple[int, int]] = []  # observed order, pre-termination
     late: list[tuple[int, int]] = []  # observed after we killed survivors
     kill_at: float | None = None
     forced = False
 
-    while any(code is None for code in exit_codes):
+    pending = len(procs)
+    while pending:
         now = time.monotonic()
-        for rank, proc in enumerate(procs):
-            if exit_codes[rank] is None:
-                rc = proc.poll()
-                if rc is not None:
-                    exit_codes[rank] = rc
-                    if rc != 0:
-                        failures.append((rank, rc))
-                        if failfast and kill_at is None:
-                            kill_at = now + grace
-        if interrupted.is_set():
+        if interrupted.is_set() or (kill_at is not None and now >= kill_at):
             _kill_all(procs)
             forced = True
             break
-        if kill_at is not None and now >= kill_at:
+        if now >= end:
             _kill_all(procs)
-            forced = True
-            break
-        if now - start >= timeout:
-            _kill_all(procs)
-            raise subprocess.TimeoutExpired(
-                cmd=procs[0].args, timeout=timeout
-            )
-        time.sleep(_POLL_INTERVAL)
+            raise subprocess.TimeoutExpired(cmd=procs[0].args, timeout=timeout)
+        until = end if kill_at is None else min(kill_at, end)
+        try:
+            item = wake.get(timeout=until - now)
+        except queue.Empty:
+            continue
+        if item is None:        # interrupted: handled at the top
+            continue
+        rank, rc = item
+        exit_codes[rank] = rc
+        pending -= 1
+        if rc != 0:
+            failures.append((rank, rc))
+            if failfast and kill_at is None:
+                kill_at = time.monotonic() + grace
 
     for rank, proc in enumerate(procs):
         if exit_codes[rank] is None:
-            exit_codes[rank] = proc.poll()
-            if exit_codes[rank] is None:
-                exit_codes[rank] = proc.wait()
+            exit_codes[rank] = proc.wait()
         rc = exit_codes[rank]
         if rc not in (0, None) and (rank, rc) not in failures:
             (late if forced else failures).append((rank, rc))
@@ -182,11 +191,10 @@ def _attribute_failure(
     """Pick the root-cause failure from exit codes in observed order.
 
     When one rank crashes, its survivors die moments later of
-    ``RankFailedError`` (exit code :data:`RANK_FAILED_EXIT`) — often
-    inside the same poll interval, where observation order is just rank
-    order.  Those cascade casualties never outrank a failure with any
-    other code, so the job is attributed to the rank that actually
-    crashed.
+    ``RankFailedError`` (exit code :data:`RANK_FAILED_EXIT`) — so close
+    that which exit is reaped first is a race.  Those cascade casualties
+    never outrank a failure with any other code, so the job is
+    attributed to the rank that actually crashed.
     """
     for rank, rc in failures:
         if rc != RANK_FAILED_EXIT:
@@ -225,8 +233,8 @@ def cleanup_job_resources(
 class SpawnedRanks:
     """A live set of spawned rank processes plus their shared resources.
 
-    Returned by :func:`spawn_ranks`.  The caller owns supervision (poll
-    ``procs``, decide when the job is over) and must call
+    Returned by :func:`spawn_ranks`.  The caller owns supervision (wait
+    on ``procs``, decide when the job is over) and must call
     :meth:`cleanup` when done; ``cleanup`` is idempotent, so calling it
     from both a drain path and a ``finally`` block is safe.
     """
@@ -247,14 +255,6 @@ class SpawnedRanks:
         self._server = server
         self._coordinator = coordinator
         self._cleaned = False
-
-    def poll_exits(self) -> list[int | None]:
-        """Per-rank exit codes so far (None = still running)."""
-        return [proc.poll() for proc in self.procs]
-
-    def terminate(self) -> None:
-        """Terminate, then kill, then reap every still-running rank."""
-        _kill_all(self.procs)
 
     def cleanup(self) -> None:
         """Kill stragglers and remove every shared artifact (idempotent)."""
@@ -460,6 +460,7 @@ def launch(
             feature_env[TRACE.name] = "1"
 
     interrupted = threading.Event()
+    wake: queue.SimpleQueue = queue.SimpleQueue()
     old_handlers: dict[int, object] = {}
     procs: list[subprocess.Popen] = []
     start = time.monotonic()
@@ -477,6 +478,7 @@ def launch(
 
     def _forward_signal(signum, _frame):
         interrupted.set()
+        wake.put(None)      # SimpleQueue.put is safe in a signal handler
         for proc in procs:
             if proc.poll() is None:
                 try:
@@ -502,7 +504,7 @@ def launch(
 
         exit_codes, first_failure = _supervise(
             procs, timeout, failfast_grace, interrupted,
-            failfast=not recover,
+            failfast=not recover, wake=wake,
         )
         report["exit_codes"] = [
             None if code is None else _normalize_exit(code)

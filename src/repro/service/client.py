@@ -168,15 +168,15 @@ class ServiceClient:
         return self.result(job_id, wait=True, timeout=timeout)
 
     def wait_state(self, job_id: str, states=TERMINAL_STATES,
-                   timeout: float = 30.0, poll: float = 0.05) -> dict:
-        """Client-side poll until the job reaches one of ``states``."""
-        deadline = time.monotonic() + timeout
-        while True:
-            job = self.job(job_id)
-            if job["state"] in states:
-                return job
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {job['state']} after {timeout}s"
-                )
-            time.sleep(poll)
+                   timeout: float = 30.0) -> dict:
+        """Block until the job is in one of ``states`` or terminal, and
+        return its record (server-side wait, client socket timeout
+        padded)."""
+        job = self._checked({"op": "JOB", "job_id": job_id, "timeout_s":
+                             timeout, "states": list(states)},
+                            timeout=timeout + 10.0)["job"]
+        if job["state"] not in states and job["state"] not in TERMINAL_STATES:
+            raise TimeoutError(
+                f"job {job_id} still {job['state']} after {timeout}s"
+            )
+        return job

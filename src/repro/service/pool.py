@@ -143,14 +143,6 @@ class ThreadRankPool:
         with self._lock:
             return self.size - len(self._dead)
 
-    def failed_ranks(self) -> set[int]:
-        with self._lock:
-            return set(self._dead)
-
-    def free_count(self) -> int:
-        with self._lock:
-            return len(self._free)
-
     def can_dispatch(self, nranks: int) -> bool:
         with self._lock:
             return len(self._free) >= nranks
@@ -260,14 +252,8 @@ class ThreadRankPool:
         comm = Comm(endpoint, Group(run.members), context=run.context)
         lead = rank == run.members[0]
         if spec.kind == KIND_SLEEP:
-            end = time.monotonic() + spec.seconds
-            while True:
-                remaining = end - time.monotonic()
-                if remaining <= 0:
-                    break
-                if run.cancel.is_set():
-                    raise JobKilled("killed while sleeping")
-                time.sleep(min(0.02, remaining))
+            if run.cancel.wait(spec.seconds):
+                raise JobKilled("killed while sleeping")
             return {"slept_s": spec.seconds} if lead else None
 
         from ..core.options import Options

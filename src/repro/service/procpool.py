@@ -6,9 +6,10 @@ processes from :func:`repro.mpi.launcher.spawn_ranks` running
 :mod:`repro.service.worker`.  The pool leader dials back on a private
 control socket; job directives flow leader-ward and fan out inside the
 worker world.  A dead process is detected both ways — the survivors
-shrink and report ``SHRUNK``, and the monitor thread sees the exit —
-so the server learns of degradation even if the whole worker world is
-lost.
+shrink and report ``SHRUNK``, and the monitor thread, blocked in
+``wait()`` on the worker processes, sees the exit — so the server
+learns of degradation even if the whole worker world is lost, as soon
+as the last worker exits.
 
 Teardown always runs :meth:`SpawnedRanks.cleanup`, the idempotent
 resource sweep shared with ``ombpy-run``: a service that drains and
@@ -23,7 +24,6 @@ import queue
 import socket
 import tempfile
 import threading
-import time
 import sys
 
 from ..knobs import ENV_SERVICE_CTRL
@@ -55,6 +55,8 @@ class ProcessRankPool:
         self._dead: set[int] = set()
         self._busy_job: str | None = None
         self._stopping = False
+        self._hello = threading.Event()
+        self._exited = threading.Event()    # every worker process reaped
         self._ctrl_dir = tempfile.mkdtemp(prefix="ombpy-service-")
         self._ctrl_path = os.path.join(self._ctrl_dir, "ctrl.sock")
         self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -78,12 +80,8 @@ class ProcessRankPool:
         ]
         for t in self._threads:
             t.start()
-        deadline = time.monotonic() + startup_timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if self._live > 0:
-                    return
-            time.sleep(0.05)
+        if self._hello.wait(startup_timeout):
+            return
         self.stop()
         raise TimeoutError(
             f"worker pool did not report HELLO within {startup_timeout}s"
@@ -93,14 +91,6 @@ class ProcessRankPool:
     def live_count(self) -> int:
         with self._lock:
             return self._live if self._live else self.size
-
-    def failed_ranks(self) -> set[int]:
-        with self._lock:
-            return set(self._dead)
-
-    def free_count(self) -> int:
-        with self._lock:
-            return 0 if self._busy_job is not None else self._live
 
     def can_dispatch(self, nranks: int) -> bool:
         with self._lock:
@@ -162,11 +152,7 @@ class ProcessRankPool:
                 write_message(conn, {"op": "SHUTDOWN"})
             except OSError:
                 pass
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if all(code is not None for code in self._handle.poll_exits()):
-                break
-            time.sleep(0.05)
+        self._exited.wait(timeout)
         # cleanup() kills stragglers and sweeps UDS/SHM artifacts; it is
         # idempotent, so a drain-then-atexit double call is harmless.
         self._handle.cleanup()
@@ -229,6 +215,7 @@ class ProcessRankPool:
         if op == "HELLO":
             with self._lock:
                 self._live = int(msg.get("size", self.size))
+            self._hello.set()
             return
         if op == "SHRUNK":
             with self._lock:
@@ -272,19 +259,12 @@ class ProcessRankPool:
             })
 
     def _monitor_loop(self) -> None:
-        while True:
-            with self._lock:
-                if self._stopping:
-                    return
-            codes = self._handle.poll_exits()
-            if all(code is not None for code in codes):
-                with self._lock:
-                    stopping = self._stopping
-                if not stopping:
-                    self.events.put({
-                        "type": "pool_lost",
-                        "reason": f"all worker ranks exited "
-                                  f"(codes {codes})",
-                    })
-                return
-            time.sleep(0.2)
+        codes = [proc.wait() for proc in self._handle.procs]
+        self._exited.set()
+        with self._lock:
+            stopping = self._stopping
+        if not stopping:
+            self.events.put({
+                "type": "pool_lost",
+                "reason": f"all worker ranks exited (codes {codes})",
+            })

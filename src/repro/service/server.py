@@ -8,10 +8,12 @@ Three kinds of thread cooperate under one lock:
   admission control, answer queries.  They never touch the pool
   directly except through the control queue.
 * **the control loop** — the only thread that dispatches to the pool.
-  It consumes pool events (job done / job failed / rank dead), enforces
-  deadlines (watchdog), schedules retries with capped-exponential
-  backoff, completes drains, and flips the service state machine
-  ``SERVING → DEGRADED → DRAINING → STOPPED``.
+  It is event-driven: it blocks on the pool's event queue, where the
+  pool reports job done / failed / rank dead and ``submit``, ``cancel``,
+  ``drain`` and ``stop`` put a wake-up, timed to the earliest job
+  deadline (watchdog), retry due time (capped-exponential backoff) or
+  drain deadline.  It completes drains and flips the service state
+  machine ``SERVING → DEGRADED → DRAINING → STOPPED``.
 * **signal-driven drain** — SIGTERM/SIGINT ask for a graceful drain;
   queued and running jobs get ``drain_grace_s`` to finish, stragglers
   are killed.
@@ -33,6 +35,7 @@ import heapq
 import itertools
 import json
 import os
+import queue
 import socket
 import threading
 import time
@@ -57,8 +60,11 @@ STOPPED = "STOPPED"
 #: rank death poisoned its engines mid-run.
 COLLATERAL_REQUEUE_CAP = 3
 
-#: Control-loop tick: bounds deadline-detection latency.
-_TICK_S = 0.05
+#: Pool-queue item that only wakes the control loop.
+_WAKE = {"type": "wake"}
+
+#: States a job holds while the service still owes it work.
+_LIVE = (QUEUED, RUNNING)
 
 
 class JobRecord:
@@ -67,7 +73,7 @@ class JobRecord:
     __slots__ = (
         "job_id", "spec", "state", "attempts", "collateral_requeues",
         "result", "error", "failure_kind", "submitted_at", "started_at",
-        "finished_at", "deadline_at", "run",
+        "finished_at", "deadline_at",
     )
 
     def __init__(self, job_id: str, spec: JobSpec) -> None:
@@ -87,7 +93,6 @@ class JobRecord:
         self.started_at: float | None = None
         self.finished_at: float | None = None
         self.deadline_at: float | None = None   # monotonic, while RUNNING
-        self.run: JobRun | None = None
 
     def to_wire(self) -> dict:
         return {
@@ -149,6 +154,8 @@ class BenchmarkService:
         self._jobs: dict[str, JobRecord] = {}
         self._queue: list[tuple[int, int, str]] = []   # (-priority, seq, id)
         self._retry_heap: list[tuple[float, str]] = []  # (due_monotonic, id)
+        self._deadlines: list[tuple[float, str]] = []   # (deadline_at, id)
+        self._live_jobs = 0     # records in QUEUED or RUNNING
         self._seq = itertools.count(1)
         self._serial = itertools.count(1)
         self._stop_evt = threading.Event()
@@ -173,7 +180,6 @@ class BenchmarkService:
             self._server.bind(socket_path)
         self._server.listen(16)
         self._server.settimeout(0.2)
-        self._threads: list[threading.Thread] = []
 
     @property
     def address(self):
@@ -186,15 +192,13 @@ class BenchmarkService:
             (self._accept_loop, "service-accept"),
             (self._control_loop, "service-control"),
         ):
-            t = threading.Thread(target=target, name=name, daemon=True)
-            t.start()
-            self._threads.append(t)
+            threading.Thread(target=target, name=name, daemon=True).start()
 
     def serve_forever(self) -> None:
         """Block until the service reaches STOPPED."""
         with self._lock:
             while self.state != STOPPED:
-                self._changed.wait(timeout=1.0)
+                self._changed.wait()
 
     def drain(self) -> None:
         """Stop admitting; let queued + running jobs finish within the
@@ -205,6 +209,7 @@ class BenchmarkService:
             self.state = DRAINING
             self._drain_deadline = time.monotonic() + self.config.drain_grace_s
             self._changed.notify_all()
+        self._wake()
 
     def stop(self) -> None:
         """Hard stop: kill in-flight jobs, stop the pool, close sockets,
@@ -237,6 +242,7 @@ class BenchmarkService:
                     self._finish(rec, CANCELLED, error="service stopped")
         try:
             self._stop_evt.set()
+            self._wake()
             self._server.close()
             if self._socket_path:
                 try:
@@ -287,13 +293,14 @@ class BenchmarkService:
                 )
             seq = next(self._seq)
             job_id = f"job-{seq:06d}"
-            rec = JobRecord(job_id, spec)
-            self._jobs[job_id] = rec
+            self._jobs[job_id] = JobRecord(job_id, spec)
+            self._live_jobs += 1
             heapq.heappush(self._queue, (-spec.priority, seq, job_id))
             self._g_queue.set(len(self._queue))
             self._m_accepted.inc()
             self._changed.notify_all()
-            return job_id, None
+        self._wake()
+        return job_id, None
 
     def _admission_error(self, spec: JobSpec) -> str | None:
         if spec.ranks > self.pool.live_count():
@@ -327,7 +334,12 @@ class BenchmarkService:
                 return None, f"unknown job {job_id!r}"
             if rec.state in TERMINAL_STATES:
                 return rec, None
-            if rec.state == QUEUED:
+            running = rec.state == RUNNING
+            if running:
+                # Mark first so the pool's failure event is folded into
+                # the cancel rather than counted as a job failure.
+                self._move(rec, CANCELLED)
+            else:
                 self._queue = [e for e in self._queue if e[2] != job_id]
                 heapq.heapify(self._queue)
                 self._retry_heap = [e for e in self._retry_heap
@@ -335,11 +347,9 @@ class BenchmarkService:
                 heapq.heapify(self._retry_heap)
                 self._g_queue.set(len(self._queue))
                 self._finish(rec, CANCELLED, error="cancelled by client")
-                return rec, None
-            # RUNNING: mark first so the pool's failure event is folded
-            # into the cancel rather than counted as a job failure.
-            rec.state = CANCELLED
-        self.pool.kill(job_id)
+        if running:
+            self.pool.kill(job_id)
+        self._wake()
         return rec, None
 
     def status(self) -> dict:
@@ -357,42 +367,63 @@ class BenchmarkService:
                 "uptime_s": round(time.time() - self._started_at, 3),
             }
 
-    def wait_terminal(self, job_id: str, timeout: float | None):
-        """Block until ``job_id`` is terminal (or timeout); returns the
-        record, or None for an unknown id."""
+    def wait_for(self, job_id: str, states=TERMINAL_STATES,
+                 timeout: float | None = None):
+        """Block until ``job_id`` is in one of ``states`` or terminal, the
+        service stops, or ``timeout`` passes; answered on the state
+        change's notify.  Returns the record, or None for an unknown id."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             while True:
                 rec = self._jobs.get(job_id)
-                if rec is None or rec.state in TERMINAL_STATES:
-                    return rec
-                if self.state == STOPPED:
+                if rec is None or rec.state in states \
+                        or rec.state in TERMINAL_STATES \
+                        or self.state == STOPPED:
                     return rec
                 wait = None if deadline is None \
                     else deadline - time.monotonic()
                 if wait is not None and wait <= 0:
                     return rec
-                self._changed.wait(timeout=wait if wait is None
-                                   else min(wait, 1.0))
+                self._changed.wait(wait)
 
     # -- control loop -----------------------------------------------------
+    def _wake(self) -> None:
+        """Make the control loop take another pass (any thread)."""
+        self.pool.events.put(_WAKE)
+
     def _control_loop(self) -> None:
+        events = self.pool.events
         while not self._stop_evt.is_set():
             try:
-                event = self.pool.events.get(timeout=_TICK_S)
-            except Exception:
+                event = events.get(timeout=self._timeout_s())
+            except queue.Empty:
                 event = None
-            if event is not None:
+            if event is not None and event is not _WAKE:
                 self._handle_pool_event(event)
-                # Drain any burst without waiting a tick each.
-                while True:
-                    try:
-                        self._handle_pool_event(self.pool.events.get_nowait())
-                    except Exception:
-                        break
             self._check_deadlines()
             self._dispatch_ready()
             self._check_drain_done()
+
+    def _timeout_s(self) -> float | None:
+        """How long the loop may block: until the earliest job deadline,
+        retry due time or drain deadline; None when none is set."""
+        with self._lock:
+            dues = [self._next_deadline(),
+                    self._retry_heap[0][0] if self._retry_heap else None,
+                    self._drain_deadline if self.state == DRAINING else None]
+        dues = [due for due in dues if due is not None]
+        return max(0.0, min(dues) - time.monotonic()) if dues else None
+
+    def _next_deadline(self) -> float | None:
+        """The earliest deadline of a RUNNING job; discards heap entries
+        of jobs that finished or were re-dispatched.  Lock held."""
+        while self._deadlines:
+            due, job_id = self._deadlines[0]
+            rec = self._jobs[job_id]
+            if rec.state == RUNNING and rec.deadline_at == due:
+                return due
+            heapq.heappop(self._deadlines)
+        return None
 
     def _handle_pool_event(self, event: dict) -> None:
         etype = event.get("type")
@@ -408,7 +439,7 @@ class BenchmarkService:
         if etype == "pool_lost":
             with self._lock:
                 for rec in self._jobs.values():
-                    if rec.state in (QUEUED, RUNNING):
+                    if rec.state in _LIVE:
                         self._finish(
                             rec, FAILED,
                             error=f"pool lost: {event.get('reason')}",
@@ -470,8 +501,7 @@ class BenchmarkService:
             # shared fabric poisoned its engines.  Requeue for free.
             if rec.collateral_requeues < COLLATERAL_REQUEUE_CAP:
                 rec.collateral_requeues += 1
-                rec.state = QUEUED
-                rec.run = None
+                self._move(rec, QUEUED)
                 rec.deadline_at = None
                 heapq.heappush(
                     self._queue,
@@ -489,8 +519,7 @@ class BenchmarkService:
     def _schedule_retry(self, rec: JobRecord, error: str) -> None:
         """Queue a retryable job behind its capped-exponential backoff."""
         self._m_retries.inc()
-        rec.state = QUEUED
-        rec.run = None
+        self._move(rec, QUEUED)
         rec.deadline_at = None
         rec.error = f"retrying after rank failure: {error}"
         due = time.monotonic() + backoff_s(
@@ -504,16 +533,15 @@ class BenchmarkService:
         now = time.monotonic()
         expired = []
         with self._lock:
-            for rec in self._jobs.values():
-                if rec.state == RUNNING and rec.deadline_at is not None \
-                        and now >= rec.deadline_at:
-                    rec.state = DEADLINE
-                    rec.error = (
-                        f"deadline exceeded "
-                        f"({rec.spec.deadline_s or self.config.default_deadline_s}s)"
-                    )
-                    self._m_deadline.inc()
-                    expired.append(rec.job_id)
+            while (due := self._next_deadline()) is not None and due <= now:
+                rec = self._jobs[heapq.heappop(self._deadlines)[1]]
+                self._move(rec, DEADLINE)
+                rec.error = (
+                    f"deadline exceeded "
+                    f"({rec.spec.deadline_s or self.config.default_deadline_s}s)"
+                )
+                self._m_deadline.inc()
+                expired.append(rec.job_id)
         for job_id in expired:
             # Revoke the job's context: members unblock with
             # CommRevokedError, the pool frees them, and the eventual
@@ -542,15 +570,16 @@ class BenchmarkService:
                     job_id=rec.job_id, spec=rec.spec, members=[],
                     context=job_context(next(self._serial)),
                 )
-                rec.run = run
-                rec.state = RUNNING
+                self._move(rec, RUNNING)
                 rec.attempts += 1
                 rec.started_at = time.time()
                 deadline_s = rec.spec.deadline_s
                 if deadline_s is None:
                     deadline_s = self.config.default_deadline_s
                 rec.deadline_at = time.monotonic() + deadline_s
+                heapq.heappush(self._deadlines, (rec.deadline_at, rec.job_id))
                 self._g_queue.set(len(self._queue))
+                self._changed.notify_all()
             self.pool.dispatch(run)
 
     def _pop_dispatchable(self) -> JobRecord | None:
@@ -589,14 +618,8 @@ class BenchmarkService:
         with self._lock:
             if self.state != DRAINING:
                 return
-            pending = any(
-                rec.state in (QUEUED, RUNNING) for rec in self._jobs.values()
-            )
-            overdue = (
-                self._drain_deadline is not None
-                and time.monotonic() >= self._drain_deadline
-            )
-            if pending and not overdue:
+            overdue = time.monotonic() >= self._drain_deadline
+            if self._live_jobs and not overdue:
                 return
         self.stop()
 
@@ -604,7 +627,7 @@ class BenchmarkService:
                 error: str | None = None,
                 failure_kind: str | None = None) -> None:
         """Move a job to a terminal state.  Lock held."""
-        rec.state = state
+        self._move(rec, state)
         if error is not None:
             rec.error = error
         elif state == DONE:
@@ -620,6 +643,11 @@ class BenchmarkService:
         elif state == CANCELLED:
             self._m_cancelled.inc()
         self._changed.notify_all()
+
+    def _move(self, rec: JobRecord, state: str) -> None:
+        """Set a job's state, keeping the live-job count.  Lock held."""
+        self._live_jobs += (state in _LIVE) - (rec.state in _LIVE)
+        rec.state = state
 
     # -- connection handling ----------------------------------------------
     def _accept_loop(self) -> None:
@@ -686,18 +714,18 @@ class BenchmarkService:
                     "job_id": job_id, "queue_depth": depth}
         if op == "STATUS":
             return {"ok": True, "reply": "STATUS", **self.status()}
-        if op == "JOB":
-            rec = self._jobs.get(request.get("job_id", ""))
-            if rec is None:
-                return {"ok": False, "reply": ERROR,
-                        "reason": f"unknown job {request.get('job_id')!r}"}
-            with self._lock:
-                return {"ok": True, "reply": "JOB", "job": rec.to_wire()}
-        if op == "RESULT":
+        if op in ("JOB", "RESULT"):
+            # JOB answers in any state, waiting first for ``states`` when
+            # given; RESULT answers only a terminal job, waiting for one
+            # when ``wait`` is set.
             job_id = request.get("job_id", "")
-            timeout = request.get("timeout_s")
-            if request.get("wait"):
-                rec = self.wait_terminal(job_id, timeout)
+            if op == "JOB":
+                states = request.get("states")
+            else:
+                states = TERMINAL_STATES if request.get("wait") else None
+            if states:
+                rec = self.wait_for(job_id, tuple(states),
+                                    request.get("timeout_s"))
             else:
                 rec = self._jobs.get(job_id)
             if rec is None:
@@ -705,6 +733,8 @@ class BenchmarkService:
                         "reason": f"unknown job {job_id!r}"}
             with self._lock:
                 wire = rec.to_wire()
+            if op == "JOB":
+                return {"ok": True, "reply": "JOB", "job": wire}
             if wire["state"] not in TERMINAL_STATES:
                 return {"ok": False, "reply": ERROR,
                         "reason": f"job {job_id} not finished "

@@ -2,6 +2,7 @@
 
 import glob
 import os
+import queue
 import socket
 import struct
 import tempfile
@@ -347,6 +348,28 @@ class _DoneProc:
         pass
 
 
+class _HangingProc:
+    """Stand-in for a Popen that runs until it is terminated."""
+
+    def __init__(self):
+        self.rc = None
+        self.args = ["fake"]
+        self._ended = threading.Event()
+
+    def poll(self):
+        return self.rc
+
+    def wait(self, timeout=None):
+        self._ended.wait(timeout)
+        return self.rc
+
+    def terminate(self):
+        self.rc = -15
+        self._ended.set()
+
+    kill = terminate
+
+
 class TestFailureAttribution:
     """Cascade deaths (exit RANK_FAILED_EXIT) never outrank the root cause."""
 
@@ -383,6 +406,29 @@ class TestFailureAttribution:
         )
         assert exit_codes == [RANK_FAILED_EXIT, 41, 0]
         assert first_failure == (1, 41)
+
+    def test_supervise_wakes_on_interrupt(self):
+        """The supervisor blocks on its wake queue with no poll; the
+        signal handler's put is what ends the wait and kills the ranks."""
+        from repro.mpi.launcher import _supervise
+
+        interrupted, wake = threading.Event(), queue.SimpleQueue()
+
+        def interrupt():
+            interrupted.set()
+            wake.put(None)
+
+        timer = threading.Timer(0.1, interrupt)
+        timer.start()
+        start = time.monotonic()
+        exit_codes, first_failure = _supervise(
+            [_HangingProc(), _HangingProc()], timeout=30.0, grace=8.0,
+            interrupted=interrupted, wake=wake,
+        )
+        timer.join(timeout=5)
+        assert time.monotonic() - start < 5.0
+        assert exit_codes == [-15, -15]
+        assert first_failure == (0, -15)
 
 
 class TestGraceOption:

@@ -8,6 +8,8 @@ concurrent-job isolation under the runtime verifier.
 """
 
 import os
+import statistics
+import sys
 import threading
 import time
 
@@ -19,7 +21,7 @@ from repro.service import BenchmarkService, JobSpec, ServiceClient, ServiceConfi
 from repro.service.client import ServiceError
 from repro.service.pool import MAX_JOB_SERIAL, ThreadRankPool, job_context
 from repro.service.protocol import (
-    CANCELLED, DEADLINE, DONE, FAILED, KIND_SLEEP, table_from_wire,
+    CANCELLED, DEADLINE, DONE, FAILED, KIND_SLEEP, RUNNING, table_from_wire,
     table_to_wire,
 )
 from repro.service.server import DEGRADED, DRAINING, SERVING, STOPPED
@@ -263,6 +265,96 @@ class TestCancelAndDrain:
         svc.start()
         svc.stop()
         svc.stop()
+        assert svc.state == STOPPED
+
+
+class TestEventDriven:
+    """The control loop wakes on every submit, cancel, drain and stop, and
+    blocks exactly until the next deadline: no answer waits on a tick."""
+
+    def test_sequential_submits_do_not_wait_on_a_tick(self, client):
+        spec = JobSpec(kind=KIND_SLEEP, ranks=2, seconds=0.0)
+        client.run(spec, timeout=20)
+        elapsed = []
+        for _ in range(20):
+            start = time.monotonic()
+            assert client.run(spec, timeout=20)["state"] == DONE
+            elapsed.append(time.monotonic() - start)
+        assert statistics.median(elapsed) < 0.020
+
+    def test_deadline_is_detected_on_time(self, client):
+        job = client.run(JobSpec(kind=KIND_SLEEP, ranks=2, seconds=30.0,
+                                 deadline_s=0.2), timeout=20)
+        assert job["state"] == DEADLINE
+        assert job["finished_at"] - job["started_at"] < 0.35
+
+    def test_wait_state_answers_on_dispatch(self, client):
+        job_id = client.submit(JobSpec(kind=KIND_SLEEP, ranks=2,
+                                       seconds=30.0))
+        start = time.monotonic()
+        job = client.wait_state(job_id, states=(RUNNING,), timeout=10)
+        assert time.monotonic() - start < 0.020
+        assert job["state"] == RUNNING
+        client.cancel(job_id)
+
+    def test_idle_drain_stops_at_once(self, tmp_path):
+        svc = BenchmarkService(pool_size=2,
+                               socket_path=str(tmp_path / "s.sock"),
+                               config=ServiceConfig(drain_grace_s=30.0))
+        svc.start()
+        try:
+            svc.drain()
+            waiter = threading.Thread(target=svc.serve_forever, daemon=True)
+            waiter.start()
+            waiter.join(timeout=1.0)
+            assert not waiter.is_alive()
+            assert svc.state == STOPPED
+        finally:
+            svc.stop()
+
+    def test_live_count_survives_racing_submit_and_cancel(self, tmp_path):
+        """Submitters and cancellers race on the live-job count that
+        drain waits on: a lost update would leave it waiting out its
+        30 s grace instead of stopping once the jobs are done."""
+        svc = BenchmarkService(pool_size=2,
+                               socket_path=str(tmp_path / "s.sock"),
+                               config=ServiceConfig(drain_grace_s=30.0))
+        svc.start()
+
+        def churn():
+            for i in range(30):
+                job_id, _ = svc.submit(JobSpec(kind=KIND_SLEEP, ranks=1,
+                                               seconds=0.0))
+                if job_id is not None and i % 2:
+                    svc.cancel(job_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            svc.drain()
+            waiter = threading.Thread(target=svc.serve_forever, daemon=True)
+            waiter.start()
+            waiter.join(timeout=10.0)
+            assert not waiter.is_alive()
+        finally:
+            svc.stop()
+
+    def test_idle_stop_is_prompt(self, tmp_path):
+        svc = BenchmarkService(pool_size=2,
+                               socket_path=str(tmp_path / "s.sock"))
+        svc.start()
+        start = time.monotonic()
+        svc.stop()
+        assert time.monotonic() - start < 1.0
         assert svc.state == STOPPED
 
 

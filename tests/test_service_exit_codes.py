@@ -7,12 +7,14 @@ branch on *why* a job died without parsing stderr.
 
 import pytest
 
-from repro.service import BenchmarkService, ServiceConfig
+from repro.service import BenchmarkService, JobSpec, ServiceConfig
 from repro.service.cli import (
     EXIT_CANCELLED, EXIT_DEADLINE, EXIT_DONE, EXIT_FAILED, EXIT_RANK_FAILURE,
     EXIT_REJECTED, EXIT_USAGE, exit_code_for, submit_main,
 )
-from repro.service.protocol import CANCELLED, DEADLINE, DONE, FAILED
+from repro.service.protocol import (
+    CANCELLED, DEADLINE, DONE, FAILED, KIND_SLEEP,
+)
 
 
 class TestExitCodeFor:
@@ -69,6 +71,9 @@ class TestSubmitExitCodes:
         ) == EXIT_USAGE
 
     def test_rejected_after_drain(self, service):
+        # A running job holds the drain open: with nothing in flight a
+        # drained service stops at once and its socket goes away.
+        service.submit(JobSpec(kind=KIND_SLEEP, ranks=2, seconds=30.0))
         assert submit(service, "drain") == EXIT_DONE
         assert submit(
             service, "submit", "--sleep", "0.01", "--wait",
