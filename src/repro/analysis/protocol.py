@@ -8,10 +8,11 @@ pass closes that gap: for each function it **abstractly interprets**
 the body once per concrete ``(rank, N)`` over a ladder of sample sizes,
 folding every branch condition, loop bound, peer and tag expression
 through the symbolic-rank domain (:mod:`repro.analysis.rankdom`).  The
-result is one communication trace per rank, verified parametrically by
-a deterministic progress engine that mirrors the runtime's matching
-semantics (buffered/eager ``isend``-style sends, ``sendrecv`` posts its
-receive first, collectives complete only when every rank arrives).
+result is one communication trace per rank, replayed on the simulator's
+engine (:mod:`repro.simulator.engine`) with buffered sends, as the
+runtime has them, and again with rendezvous sends.  A ``sendrecv`` is a
+posted receive, a buffered send and a wait; a collective completes once
+every rank arrives at it.
 
 ========  ==============================================================
 OMB501    collective-order inconsistency: rank classes reach different
@@ -40,7 +41,7 @@ Runs under ``ombpy-lint --protocol``; see ``docs/protocol-lint.md``.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import rankdom
 from . import rules as _rules
@@ -53,6 +54,8 @@ from .commgraph import (
 )
 from .findings import Finding
 from .interproc import FunctionInfo, Program
+from ..simulator import engine
+from ..simulator.loggp import NetworkModel
 
 __all__ = [
     "PROTOCOL_RULES",
@@ -532,156 +535,31 @@ def build_traces(
     return traces
 
 
-# -- the progress engine ---------------------------------------------------
+# -- replay on the simulator's engine ---------------------------------------
 
-@dataclass
-class SimResult:
-    """Outcome of replaying one trace set."""
-
-    ok: bool
-    #: rank -> the op it is stuck at (empty when ok)
-    blocked: dict[int, TraceOp] = field(default_factory=dict)
-    #: ranks that ran their whole trace
-    done: set[int] = field(default_factory=set)
-    #: (src, op) messages sent but never received
-    unreceived: list[tuple[int, TraceOp]] = field(default_factory=list)
-    #: (rank, op) posted receives never matched
-    unmatched_recvs: list[tuple[int, TraceOp]] = field(default_factory=list)
+_NO_COST = NetworkModel(alpha_us=0.0, beta_us_per_byte=0.0)
 
 
-def _msg_matches(pending: TraceOp, src: int, tag: int | None) -> bool:
-    if pending.peer is not None and pending.peer != src:
-        return False
-    if pending.tag is not None and tag is not None and pending.tag != tag:
-        return False
-    return True
+def _step(op: TraceOp) -> tuple:
+    """The engine step that replays ``op``; the op rides in its last slot."""
+    if op.kind == "coll":
+        return ("coll", op.coll, op)
+    if op.kind == "wait":
+        return ("wait", op)
+    empty = 0 if op.kind in ("recv", "irecv") else b""
+    return (op.kind, op.peer, empty, op.tag, op)
 
 
-def simulate(traces: list[list[TraceOp]], eager: bool = True) -> SimResult:
-    """Deterministically replay one trace per rank.
-
-    ``eager=True`` mirrors the runtime (every send is buffered and
-    completes immediately); ``eager=False`` gives standard-conforming
-    rendezvous semantics where a blocking send needs a posted receive.
-    """
-    n = len(traces)
-    idx = [0] * n
-    # In-flight messages per destination, in arrival order.
-    mailbox: list[list[tuple[int, int | None, TraceOp]]] = [
-        [] for _ in range(n)
-    ]
-    # Posted-but-unmatched irecvs per rank, in post order.
-    pending: list[list[TraceOp]] = [[] for _ in range(n)]
-    satisfied: list[set[int]] = [set() for _ in range(n)]
-
-    def current(r: int) -> TraceOp | None:
-        return traces[r][idx[r]] if idx[r] < len(traces[r]) else None
-
-    def try_deliver(dst: int, src: int, tag: int | None,
-                    op: TraceOp) -> None:
-        for p in pending[dst]:
-            if id(p) not in satisfied[dst] and _msg_matches(p, src, tag):
-                satisfied[dst].add(id(p))
-                return
-        mailbox[dst].append((src, tag, op))
-
-    def take_from_mailbox(r: int, op: TraceOp) -> bool:
-        for i, (src, tag, _sop) in enumerate(mailbox[r]):
-            if _msg_matches(op, src, tag):
-                del mailbox[r][i]
-                return True
-        return False
-
-    def waits_clear(r: int) -> bool:
-        return all(id(p) in satisfied[r] for p in pending[r])
-
-    progressed = True
-    while progressed:
-        progressed = False
-        # Collectives complete only when every rank has arrived at the
-        # same one.
-        heads = [current(r) for r in range(n)]
-        if all(h is not None and h.kind == "coll" for h in heads):
-            names = {h.coll for h in heads}  # type: ignore[union-attr]
-            if len(names) == 1:
-                for r in range(n):
-                    idx[r] += 1
-                progressed = True
-                continue
-        for r in range(n):
-            op = current(r)
-            if op is None:
-                continue
-            if op.kind == "isend":
-                try_deliver(op.peer, r, op.tag, op)  # type: ignore[arg-type]
-                idx[r] += 1
-                progressed = True
-            elif op.kind == "send":
-                if eager:
-                    try_deliver(op.peer, r, op.tag, op)  # type: ignore
-                    idx[r] += 1
-                    progressed = True
-                    continue
-                dst = op.peer
-                assert dst is not None
-                other = current(dst) if 0 <= dst < n else None
-                matched = False
-                for p in pending[dst] if 0 <= dst < n else []:
-                    if id(p) not in satisfied[dst] \
-                            and _msg_matches(p, r, op.tag):
-                        satisfied[dst].add(id(p))
-                        matched = True
-                        break
-                if matched:
-                    idx[r] += 1
-                    progressed = True
-                elif other is not None and other.kind == "recv" \
-                        and _msg_matches(other, r, op.tag):
-                    idx[r] += 1
-                    idx[dst] += 1
-                    progressed = True
-            elif op.kind == "irecv":
-                pending[r].append(op)
-                idx[r] += 1
-                progressed = True
-                # Late match against already-buffered messages.
-                if take_from_mailbox(r, op):
-                    satisfied[r].add(id(op))
-            elif op.kind == "recv":
-                if take_from_mailbox(r, op):
-                    idx[r] += 1
-                    progressed = True
-                elif not eager:
-                    # Rendezvous with a peer blocked in a matching send.
-                    for s in range(n):
-                        sop = current(s)
-                        if sop is not None and sop.kind == "send" \
-                                and sop.peer == r \
-                                and _msg_matches(op, s, sop.tag):
-                            idx[s] += 1
-                            idx[r] += 1
-                            progressed = True
-                            break
-            elif op.kind == "wait":
-                if waits_clear(r):
-                    idx[r] += 1
-                    progressed = True
-            # coll: handled by the all-ranks check above
-
-    blocked = {r: current(r) for r in range(n) if current(r) is not None}
-    done = {r for r in range(n) if r not in blocked}
-    result = SimResult(ok=not blocked,
-                       blocked=blocked,  # type: ignore[arg-type]
-                       done=done)
-    if result.ok:
-        for dst in range(n):
-            for src, _tag, op in mailbox[dst]:
-                result.unreceived.append((src, op))
-        for r in range(n):
-            for p in pending[r]:
-                if id(p) not in satisfied[r]:
-                    result.unmatched_recvs.append((r, p))
-    return result
+def simulate(traces: list[list[TraceOp]], rendezvous: bool = False
+             ) -> engine.Simulation:
+    """Replay one trace per rank, with buffered sends or (``rendezvous``)
+    sends that wait for a posted receive; a deadlocked replay comes back
+    with ``blocked`` filled in."""
+    programs = [(_step(op) for op in trace) for trace in traces]
+    try:
+        return engine.simulate(programs, _NO_COST, rendezvous=rendezvous)
+    except engine.SimulationError as err:
+        return err.sim
 
 
 # -- classification --------------------------------------------------------
@@ -703,9 +581,10 @@ class _Report:
     message: str
 
 
-def _classify_deadlock(result: SimResult, size: int,
-                       eager: bool) -> _Report:
-    blocked = result.blocked
+def _classify_deadlock(result: engine.Simulation, size: int,
+                       rendezvous: bool) -> _Report:
+    blocked = {r: step[-1] for r, step in result.blocked.items()}
+    done = set(range(size)) - set(blocked)
     kinds = {op.kind for op in blocked.values()}
     coll_heads = {r: op for r, op in blocked.items() if op.kind == "coll"}
     anchor_rank = min(blocked)
@@ -714,7 +593,7 @@ def _classify_deadlock(result: SimResult, size: int,
 
     if coll_heads:
         names = sorted({op.coll for op in coll_heads.values()})
-        if kinds == {"coll"} and not result.done and len(names) > 1:
+        if kinds == {"coll"} and not done and len(names) > 1:
             return _Report(
                 "OMB501", "error", anchor.node,
                 f"collective order diverges at N={size}: "
@@ -729,7 +608,7 @@ def _classify_deadlock(result: SimResult, size: int,
         anchor_rank = min(coll_heads)
         anchor = coll_heads[anchor_rank]
         others = (
-            f"never called by {_rank_set(result.done)}" if result.done
+            f"never called by {_rank_set(done)}" if done
             else f"{_rank_set(set(blocked) - set(coll_heads))} stuck in "
             "point-to-point first"
         )
@@ -739,7 +618,7 @@ def _classify_deadlock(result: SimResult, size: int,
             f"{_rank_set(coll_heads)} at N={size} ({others}) — a subset "
             "collective hangs every participant",
         )
-    if not eager:
+    if rendezvous:
         return _Report(
             "OMB506", "warning", anchor.node,
             f"deadlock under rendezvous sends at N={size}: {where} "
@@ -800,31 +679,26 @@ def verify_function(
         evaluated += 1
         approx = any(op.approx for trace in traces for op in trace)
         any_approx = any_approx or approx
-        result = simulate(traces, eager=True)
-        if not result.ok:
+        result = simulate(traces)
+        if result.blocked:
             if deadlock is None:
-                deadlock = _classify_deadlock(result, size, eager=True)
+                deadlock = _classify_deadlock(result, size, rendezvous=False)
             continue
-        strict = simulate(traces, eager=False)
-        if not strict.ok and rendezvous is None:
-            rendezvous = _classify_deadlock(strict, size, eager=False)
+        strict = simulate(traces, rendezvous=True)
+        if strict.blocked and rendezvous is None:
+            rendezvous = _classify_deadlock(strict, size, rendezvous=True)
         # Unmatched-at-exit rules need the miss at *every* sampled size
         # (and no approximation): a boundary size where a peer class is
         # empty is normal, a message nobody ever receives is not.
+        sent = {id(s[-1].node): (s[-1].node, s[-1].describe(), src)
+                for src, s in result.unreceived}
+        posted = {id(s[-1].node): (s[-1].node, s[-1].describe(), r)
+                  for r, s in result.unmatched}
         if evaluated == 1:
-            for src, op in result.unreceived:
-                assert op.node is not None
-                unreceived[id(op.node)] = (op.node, op.describe(), src)
-            for r, op in result.unmatched_recvs:
-                assert op.node is not None
-                unmatched[id(op.node)] = (op.node, op.describe(), r)
+            unreceived, unmatched = sent, posted
         else:
-            still = {id(op.node) for _s, op in result.unreceived}
-            unreceived = {
-                k: v for k, v in unreceived.items() if k in still
-            }
-            still = {id(op.node) for _r, op in result.unmatched_recvs}
-            unmatched = {k: v for k, v in unmatched.items() if k in still}
+            unreceived = {k: v for k, v in unreceived.items() if k in sent}
+            unmatched = {k: v for k, v in unmatched.items() if k in posted}
     if evaluated == 0:
         return []
     reports: list[_Report] = []

@@ -260,18 +260,23 @@ def _loop_comm_kinds(loop: ast.For) -> set[str]:
     return kinds
 
 
-def _rank_loop_callees(program: Program) -> frozenset[str]:
-    """Simple names of functions invoked from inside any rank loop —
+def _rank_loop_callees(program: Program) -> frozenset[tuple[str, str]]:
+    """``(path, name)`` of functions invoked from inside any rank loop —
     one level of interprocedural vision for the per-peer rules (the
-    transports dial in a loop but start the reader thread in a helper)."""
-    names: set[str] = set()
+    transports dial in a loop but start the reader thread in a helper).
+    ``f()`` may call any ``f`` (path ``""``), ``self.f()`` one in its own
+    file; other receivers' methods (``rows.append()``) are not followed."""
+    names: set[tuple[str, str]] = set()
     for info in program.functions:
         for loop in _rank_loops(info):
             for node in ast.walk(loop):
-                if isinstance(node, ast.Call):
-                    callee = _callee_name(node)
-                    if callee is not None:
-                        names.add(callee)
+                func = node.func if isinstance(node, ast.Call) else None
+                if isinstance(func, ast.Name):
+                    names.add(("", func.id))
+                elif isinstance(func, ast.Attribute) \
+                        and isinstance(func.value, ast.Name) \
+                        and func.value.id in ("self", "cls"):
+                    names.add((info.path, func.attr))
     return frozenset(names)
 
 
@@ -351,7 +356,9 @@ def _creation_sites(info: FunctionInfo, callees: frozenset[str],
     of this function's own rank loops, or anywhere in a function that a
     rank loop elsewhere invokes."""
     regions: list[ast.AST] = list(_rank_loops(info))
-    if info.name in ctx.rank_loop_callees and not info.is_module_level():
+    if not info.is_module_level() and ctx.rank_loop_callees & {
+        ("", info.name), (info.path, info.name),
+    }:
         regions = [info.node]
     for region in regions:
         for node in ast.walk(region):
@@ -443,7 +450,7 @@ def _check_hold_buffer(program: Program, info: FunctionInfo,
 
 @dataclass
 class _Context:
-    rank_loop_callees: frozenset[str]
+    rank_loop_callees: frozenset[tuple[str, str]]
 
 
 #: rule ID -> (checker over (program, info, ctx), one-line description).

@@ -127,7 +127,7 @@ class CampaignScheduler:
 
         workers = [
             # Bounded by the --concurrency knob, not by rank count.
-            threading.Thread(target=self._worker,  # ombpy-lint: ignore[OMB513]
+            threading.Thread(target=self._worker,
                              name=f"campaign-worker-{i}", daemon=True)
             for i in range(min(self.config.concurrency, max(1, len(pending))))
         ]

@@ -70,9 +70,7 @@ class ResultsStore:
         }
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         with self._lock:
-            # One driver-side results file, not a per-peer descriptor.
-            with open(self.results_path, "a",  # ombpy-lint: ignore[OMB514]
-                      encoding="utf-8") as fh:
+            with open(self.results_path, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())

@@ -17,10 +17,10 @@ Every blocking collective algorithm is one of these schedules; the
 selector's ``ALGORITHMS`` table names them.  The flat collective is a
 schedule over ``range(size)``; every phase of the two-level collectives
 (:mod:`.hierarchy`) is the same schedule over a group or the leader list.
-Exactly two interpreters run these steps: the discrete-event simulator
-(:mod:`repro.simulator.engine`), which prices them on a network model and
-tallies every message they deliver, and :func:`drive`, which is the only
-send path of the collectives.
+:func:`drive` runs them on a communicator, the collectives' only send
+path; the one simulation engine (:mod:`repro.simulator.engine`) prices
+them, tallies their messages and, with ``rendezvous=True``, checks they
+complete when a blocking send waits for its receiver.
 """
 
 from __future__ import annotations

@@ -50,12 +50,15 @@ class ServiceClient:
 
     # -- connection -------------------------------------------------------
     def _connect_once(self) -> socket.socket:
-        if self._socket_path is not None:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        if self._socket_path is None:
+            return socket.create_connection(self._tcp, timeout=self.timeout)
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
             sock.settimeout(self.timeout)
             sock.connect(self._socket_path)
-        else:
-            sock = socket.create_connection(self._tcp, timeout=self.timeout)
+        except OSError:
+            sock.close()
+            raise
         return sock
 
     def connect(self) -> None:

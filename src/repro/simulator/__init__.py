@@ -16,10 +16,12 @@ this package:
   access costs + THREAD_MULTIPLE full-subscription penalties);
 * :mod:`repro.simulator.collective_cost` — analytic per-algorithm costs of
   the collectives;
-* :mod:`repro.simulator.engine` — a discrete-event simulator that runs the
-  runtime's own collective schedules
-  (:mod:`repro.mpi.collectives.schedule`) and tallies their messages; the
-  tests check the analytic costs against it;
+* :mod:`repro.simulator.engine` — the one interpreter of rank programs: a
+  discrete-event simulator that runs the runtime's own collective
+  schedules (:mod:`repro.mpi.collectives.schedule`) and tallies their
+  messages, and replays the protocol verifier's traces (tags, wildcards,
+  eager or rendezvous sends); the tests check the analytic costs against
+  it;
 * :mod:`repro.simulator.api` — ``simulate_pt2pt`` / ``simulate_collective``
   / ``simulate_ml``, the entry points the figure benchmarks call.
 """

@@ -7,8 +7,9 @@ several ranks share a node (``ppn > 1``) the per-byte fabric terms are
 scaled by the NIC-sharing factor, the standard first-order congestion
 treatment.
 
-The discrete-event engine (:mod:`repro.simulator.engine`) runs the
-runtime's own schedules (:mod:`repro.mpi.collectives.schedule`), and
+The discrete-event engine (:mod:`repro.simulator.engine`), the one
+interpreter of rank programs, runs the runtime's own schedules
+(:mod:`repro.mpi.collectives.schedule`), and
 ``tests/test_simulator_crossvalidation.py`` checks these formulas against
 it.  The switch points are the runtime selector's.
 """

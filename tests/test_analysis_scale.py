@@ -154,6 +154,50 @@ class TestDetection:
         )
         assert rules_of(src) == []
 
+    def test_method_of_another_receiver_is_not_followed(self):
+        # A rank loop's rows.append() and self.pool.run() are no calls to
+        # the Store.append or Scheduler.run of another module, which open
+        # one file and start one worker pool per call.
+        loop = (
+            "def collect(self, size):\n"
+            "    rows = []\n"
+            "    for peer in range(size):\n"
+            "        rows.append(peer)\n"
+            "        self.pool.run(peer)\n"
+        )
+        classes = (
+            "class Store:\n"
+            "    def append(self, row):\n"
+            "        with open(self.path, 'a') as fh:\n"
+            "            fh.write(row)\n"
+            "\n"
+            "class Scheduler:\n"
+            "    def run(self):\n"
+            "        t = threading.Thread(target=self._worker)\n"
+            "        t.start()\n"
+        )
+        assert rules_of(loop, classes) == []
+
+    def test_self_method_in_another_file_is_not_followed(self):
+        # self.append() in a rank loop is this file's append, not the
+        # Store.append another module defines.
+        loop = (
+            "class Table:\n"
+            "    def fill(self, size):\n"
+            "        for peer in range(size):\n"
+            "            self.append(peer)\n"
+            "\n"
+            "    def append(self, peer):\n"
+            "        self.rows.append(peer)\n"
+        )
+        store = (
+            "class Store:\n"
+            "    def append(self, row):\n"
+            "        with open(self.path, 'a') as fh:\n"
+            "            fh.write(row)\n"
+        )
+        assert rules_of(loop, store) == []
+
     def test_fd_per_peer(self):
         src = (
             "def mesh(self, size):\n"

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from repro.mpi import ops
 from repro.mpi.collectives import schedule as s
 from repro.mpi.collectives import selector
+from repro.mpi.collectives.hierarchy import hierarchical_bcast
+from repro.mpi.topology import parse_groups
 from repro.mpi.world import run_on_threads
 from repro.simulator.engine import simulate
 from repro.simulator.loggp import NetworkModel
@@ -228,16 +230,23 @@ def _args(op, r, d):
     return ()
 
 
-def _program(op, r, d):
+def _program(op, r, d, part=None):
     # The selector's eligibility fallbacks decide what a forced
     # algorithm really runs at these arguments.
-    alg = selector.pick(op, 0, d.p, count=len(d.xs[0]))
-    body = selector.ALGORITHMS[op][alg](range(d.p), r, *_args(op, r, d))
+    alg = selector.pick(op, 0, d.p, part, count=len(d.xs[0]))
+    members = part if alg == "hierarchical" else range(d.p)
+    body = selector.ALGORITHMS[op][alg](members, r, *_args(op, r, d))
     if op in ("bcast", "scatter"):
-        # Non-roots learn the size from a binomial length header first.
+        # Non-roots learn the size from a length header first, which
+        # rides the hierarchy on a grouped communicator.
         n = len(d.blks[0])
         hdr = s.LEN.pack(n) if r == d.root else None
-        yield from s.binomial_bcast(range(d.p), r, d.root, hdr, s.LEN.size)
+        if part is not None and op in selector.HIERARCHICAL_OPS:
+            yield from hierarchical_bcast(part, r, d.root, hdr, s.LEN.size)
+        else:
+            yield from s.binomial_bcast(
+                range(d.p), r, d.root, hdr, s.LEN.size
+            )
     return (yield from body)
 
 
@@ -265,18 +274,12 @@ def _oracle(op, r, d):
     return None
 
 
-@pytest.mark.parametrize("op, alg", SCHEDULED)
-@given(
-    st.integers(1, 17), st.sampled_from(sorted(_EXACT)),
-    st.integers(0, 40), seeds,
-)
-@settings(max_examples=10, deadline=None)
-def test_runtime_runs_the_schedule(op, alg, p, opname, extra, seed):
+def _data(p, opname, extra, seed):
     rng = np.random.default_rng(seed)
     # count >= p keeps ring/rabenseifner from falling back to trees.
     count = p + extra % 8
     counts = [int(c) for c in rng.integers(0, 4, p)]
-    d = SimpleNamespace(
+    return SimpleNamespace(
         p=p, root=seed % p, opname=opname, op=getattr(ops, opname),
         xs=[rng.integers(-2**40, 2**40, count).astype("i8")
             for _ in range(p)],
@@ -286,6 +289,16 @@ def test_runtime_runs_the_schedule(op, alg, p, opname, extra, seed):
         blks=[rng.bytes(extra) for _ in range(p)],
         matrix=[[rng.bytes(extra) for _ in range(p)] for _ in range(p)],
     )
+
+
+@pytest.mark.parametrize("op, alg", SCHEDULED)
+@given(
+    st.integers(1, 17), st.sampled_from(sorted(_EXACT)),
+    st.integers(0, 40), seeds,
+)
+@settings(max_examples=10, deadline=None)
+def test_runtime_runs_the_schedule(op, alg, p, opname, extra, seed):
+    d = _data(p, opname, extra, seed)
 
     def work(comm):
         def sent():
@@ -315,3 +328,47 @@ def test_runtime_runs_the_schedule(op, alg, p, opname, extra, seed):
         else:
             assert out == expect
     assert sum(n for _, n in results) == tally.msgs
+
+
+# ---------------------------------------------------------------------------
+# The rendezvous guard.  Every schedule in the table completes when a
+# blocking send waits for its receiver, and delivers the same messages as
+# under eager sends: flat ones at p = 1..17, the two-level ones at the
+# group shapes tools/collective_digest.py runs.
+# ---------------------------------------------------------------------------
+
+HIERARCHICAL = [
+    (op, shape)
+    for op in sorted(selector.HIERARCHICAL_OPS)
+    for shape in ((4, "2x2"), (8, "3,2,3"), (8, "auto"), (17, "auto"))
+]
+
+
+def _completes_under_rendezvous(op, alg, p, part=None):
+    net = NetworkModel(alpha_us=1.0, beta_us_per_byte=0.0)
+    selector.force(op, alg)
+    try:
+        for extra in (0, 5, 40):
+            d = _data(p, "SUM", extra, seed=p * 41 + extra)
+            eager = simulate([_program(op, r, d, part) for r in range(p)], net)
+            strict = simulate(
+                [_program(op, r, d, part) for r in range(p)], net,
+                rendezvous=True,
+            )
+            assert strict.msgs == eager.msgs, (p, extra)
+    finally:
+        selector.force(op, None)
+
+
+@pytest.mark.parametrize("op, alg", SCHEDULED)
+def test_flat_schedule_completes_under_rendezvous(op, alg):
+    for p in range(1, 18):
+        _completes_under_rendezvous(op, alg, p)
+
+
+@pytest.mark.parametrize("op, shape", HIERARCHICAL)
+def test_hierarchical_schedule_completes_under_rendezvous(op, shape):
+    p, spec = shape
+    groups = parse_groups(spec, p)
+    part = [list(groups.members(g)) for g in range(groups.n_groups)]
+    _completes_under_rendezvous(op, "hierarchical", p, part)

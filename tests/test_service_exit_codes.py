@@ -5,9 +5,13 @@ Each failure mode maps to a distinct, documented exit code (table in
 branch on *why* a job died without parsing stderr.
 """
 
+import gc
+import warnings
+
 import pytest
 
 from repro.service import BenchmarkService, JobSpec, ServiceConfig
+from repro.service.client import ServiceClient
 from repro.service.cli import (
     EXIT_CANCELLED, EXIT_DEADLINE, EXIT_DONE, EXIT_FAILED, EXIT_RANK_FAILURE,
     EXIT_REJECTED, EXIT_USAGE, exit_code_for, submit_main,
@@ -69,6 +73,18 @@ class TestSubmitExitCodes:
         assert submit_main(
             ["status", "--socket", str(tmp_path / "nope.sock")]
         ) == EXIT_USAGE
+
+    def test_connection_error_closes_the_socket(self, tmp_path):
+        # A socket left open by a failed connect shows only as a
+        # ResourceWarning when it is collected; make that an error here.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ConnectionError):
+                ServiceClient(socket_path=str(tmp_path / "nope.sock"),
+                              connect_tries=1).connect()
+            gc.collect()
+        leaks = [w for w in caught if w.category is ResourceWarning]
+        assert not leaks, str(leaks[0].message)
 
     def test_rejected_after_drain(self, service):
         # A running job holds the drain open: with nothing in flight a

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.simulator.collective_cost import GAMMA_US_PER_BYTE
-from repro.simulator.engine import SimulationError, simulate, simulate_collective
+from repro.simulator.engine import (
+    ANY,
+    SimulationError,
+    simulate,
+    simulate_collective,
+)
 from repro.simulator.loggp import NetworkModel
 
 NET = NetworkModel(alpha_us=1.0, beta_us_per_byte=0.01)
@@ -110,13 +115,130 @@ class TestPrimitives:
         assert clocks[1] == pytest.approx(3.0 + NET.latency_us(0))
 
 
+def _steps(*steps):
+    """A rank program that yields ``steps``.  A ``recv`` may carry the
+    payload it expects after its tag; the engine ignores that element."""
+    for step in steps:
+        got = yield step
+        if step[0] == "recv" and len(step) > 4:
+            assert got == step[4], (step, got)
+
+
+# Two-rank programs per case, and whether they complete under rendezvous
+# sends too.
+COMPLETES = {
+    "wildcard source and tag": (
+        [("send", 1, b"a", 5), ("send", 1, b"b", 7)],
+        [("recv", ANY, 1, 7, b"b"), ("recv", 0, 1, ANY, b"a")],
+        False,
+    ),
+    "posted irecv before a blocked recv": (
+        [("recv", 1, 1), ("send", 1, b"a"), ("send", 1, b"b")],
+        [("irecv", 0, 1), ("send", 0, b"x"), ("recv", 0, 1, 0, b"b"),
+         ("wait",)],
+        True,
+    ),
+    "irecv takes the earliest buffered message": (
+        [("send", 1, b"a"), ("send", 1, b"b")],
+        [("irecv", 0, 1), ("recv", 0, 1, 0, b"b"), ("wait",)],
+        False,
+    ),
+    "wait on irecvs": (
+        [("compute", 5.0), ("isend", 1, b"a", 1), ("isend", 1, b"b", 2)],
+        [("irecv", 0, 1, 2), ("irecv", 0, 1, 1), ("wait",),
+         ("compute", 1.0)],
+        True,
+    ),
+    "coll of one name": (
+        [("compute", 3.0), ("coll", "barrier"), ("recv", 1, 0)],
+        [("coll", "barrier"), ("send", 0, b"")],
+        True,
+    ),
+    "sendrecv pair": (
+        [("sendrecv", 1, 1, b"a", 1)],
+        [("sendrecv", 0, 0, b"b", 1)],
+        True,
+    ),
+    "send to a blocked sendrecv": (
+        [("sendrecv", 1, 1, b"a", 1)],
+        [("send", 0, b"b"), ("recv", 0, 1, 0, b"a")],
+        True,
+    ),
+    "send to a posted irecv": (
+        [("irecv", 1, 1), ("send", 1, b"a"), ("wait",)],
+        [("irecv", 0, 1), ("send", 0, b"b"), ("wait",)],
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("rank0, rank1, rendezvous", COMPLETES.values(),
+                         ids=list(COMPLETES))
+def test_program_completes(rank0, rank1, rendezvous):
+    for mode in {False, rendezvous}:
+        sim = simulate([_steps(*rank0), _steps(*rank1)], NET,
+                       rendezvous=mode)
+        sends = sum(s[0] in ("send", "isend", "sendrecv")
+                    for s in rank0 + rank1)
+        assert (sim.msgs, sim.blocked) == (sends, {})
+
+
+def test_wait_and_coll_clocks():
+    clocks = simulate([_steps(*COMPLETES["wait on irecvs"][0]),
+                       _steps(*COMPLETES["wait on irecvs"][1])], NET).clocks
+    assert clocks[1] == pytest.approx(5.0 + NET.latency_us(1) + 1.0)
+    clocks = simulate([_steps(*COMPLETES["coll of one name"][0]),
+                       _steps(*COMPLETES["coll of one name"][1])], NET).clocks
+    assert clocks == [pytest.approx(3.0 + NET.latency_us(0)), 3.0]
+
+
+def test_unreceived_and_unmatched_reported():
+    sim = simulate([_steps(("irecv", 1, 0, 3)), _steps(("send", 0, b"", 4))],
+                   NET)
+    assert sim.unreceived == [(1, ("send", 0, b"", 4))]
+    assert sim.unmatched == [(0, ("irecv", 1, 0, 3))]
+
+
+# Two-rank programs that never finish, whether they need rendezvous sends
+# to hang, and the step each rank is left blocked in.
+DEADLOCKS = {
+    "coll name mismatch": (
+        [("coll", "barrier")], [("coll", "bcast")], False,
+        {0: ("coll", "barrier"), 1: ("coll", "bcast")},
+    ),
+    "coll one rank skips": (
+        [("coll", "barrier")], [], False, {0: ("coll", "barrier")},
+    ),
+    "wait on an unmatched irecv": (
+        [("irecv", 1, 0, 3), ("wait",)], [("send", 0, b"", 4)], False,
+        {0: ("wait",)},
+    ),
+    "head-to-head sends": (
+        [("send", 1, b""), ("recv", 1, 0)],
+        [("send", 0, b""), ("recv", 0, 0)], True,
+        {0: ("send", 1, b""), 1: ("send", 0, b"")},
+    ),
+}
+
+
 class TestErrors:
     def test_deadlock_detected(self):
         def waiter(rank, p):
             yield ("recv", 1 - rank, 0)
 
-        with pytest.raises(SimulationError, match="deadlock"):
+        with pytest.raises(SimulationError, match="deadlock") as err:
             simulate([waiter(0, 2), waiter(1, 2)], NET)
+        assert err.value.sim.blocked == {0: ("recv", 1, 0), 1: ("recv", 0, 0)}
+
+    @pytest.mark.parametrize("rank0, rank1, rendezvous, blocked",
+                             DEADLOCKS.values(), ids=list(DEADLOCKS))
+    def test_stuck_steps_reported(self, rank0, rank1, rendezvous, blocked):
+        with pytest.raises(SimulationError, match="deadlock") as err:
+            simulate([_steps(*rank0), _steps(*rank1)], NET,
+                     rendezvous=rendezvous)
+        assert err.value.sim.blocked == blocked
+        if rendezvous:  # it only hangs when sends wait for receivers
+            simulate([_steps(*rank0), _steps(*rank1)], NET)
 
     def test_unknown_event_rejected(self):
         def bad(rank, p):
