@@ -21,12 +21,12 @@ and MUST (dynamic, PMPI-based) divide the problem for C MPI codes:
   regions, and mid-collective buffer mutation.
 
 On top of the linter sits a whole-program engine
-(:mod:`repro.analysis.interproc`) with four opt-in rule families:
-``--perf`` (:mod:`.perf`, OMB3xx hot-path waste), ``--commgraph``
-(:mod:`.commgraph`, OMB4xx send/recv matching), ``--protocol``
-(:mod:`.protocol`, OMB50x — a rank-symbolic verifier that proves
-collective-order and deadlock properties parametrically in the job
-size, using the :mod:`.rankdom` symbolic-rank domain), and ``--scale``
+(:mod:`repro.analysis.interproc`) with three opt-in rule families:
+``--perf`` (:mod:`.perf`, OMB3xx hot-path waste), ``--protocol``
+(:mod:`.protocol`, OMB50x — the send/recv matching pass: a
+rank-symbolic verifier that proves collective-order and deadlock
+properties parametrically in the job size, using the :mod:`.rankdom`
+symbolic-rank domain), and ``--scale``
 (:mod:`.scale`, OMB51x — scalability debt priced with LogGP cost
 estimates from :mod:`repro.simulator`).
 """

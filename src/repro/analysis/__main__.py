@@ -12,10 +12,12 @@ Static linter (mpi4py-API misuse; see `ombpy-lint --list-rules`):
                [--ignore IDs]
     python -m repro.analysis.lint examples/ benchmarks/
 
-Whole-program performance & communication-graph analysis (hot-path
-copies, blocking calls in loops, unmatched tags; see docs/perf-lint.md):
-    ombpy-lint --perf --commgraph src/ benchmarks/ examples/
-    ombpy-lint --perf --commgraph --baseline tools/perf_lint_baseline.json \\
+Whole-program analysis: hot-path performance (copies, blocking calls
+in loops; docs/perf-lint.md), send/recv matching and deadlocks proven
+per job size, scalability debt (docs/protocol-lint.md):
+    ombpy-lint --perf --protocol --scale src/ benchmarks/ examples/
+    ombpy-lint --perf --protocol --scale \\
+               --baseline tools/perf_lint_baseline.json \\
                --inventory results/perf_lint.json src/
 
 Runtime verifier (deadlock / collective-mismatch / leak detection):

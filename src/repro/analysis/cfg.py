@@ -1,9 +1,9 @@
 """Per-function control-flow graphs for the whole-program analyses.
 
 The OMB001-010 rules work on a flat statement list per scope; the
-performance family (OMB301-310) and the static communication-graph pass
-(OMB401-403) need more structure: *where* a statement sits relative to
-loops, and which parts of a function are reachable.  This module builds a
+performance family (OMB301-310) needs more structure: *where* a
+statement sits relative to loops, and which parts of a function are
+reachable.  This module builds a
 classic basic-block CFG per function (or module top level):
 
 * every block holds the statements that execute together, in order;

@@ -3,11 +3,14 @@
 The per-function rules (OMB001-010) see one :class:`~repro.analysis.rules.Scope`
 at a time.  The performance family needs program-wide facts:
 
-* **call graph** — who calls whom, resolved by simple-name matching
-  (``spec.read()`` links to every function named ``read`` in the program:
-  a deliberate over-approximation, because for a linter a spurious edge
-  costs at most a grandfathered finding while a missed edge hides a real
-  copy);
+* **call graph** — who calls whom, through the one resolver
+  :meth:`Program.resolve`: a bare ``f()`` reaches the non-method ``f``
+  of the caller's file and ``self.f()`` the method ``f`` of the
+  caller's file when there is one; otherwise (and for every other
+  receiver, ``spec.read()``) the call links to every function of that
+  name in the program — a deliberate over-approximation, because for a
+  linter a spurious edge costs at most a grandfathered finding while a
+  missed edge hides a real copy;
 * **hot set** — every function reachable, through call edges, from a
   communication entry point: the send/recv/collective API surface plus
   any function that delivers into a matching engine (transport read
@@ -41,28 +44,16 @@ __all__ = [
     "Program",
     "load_program",
     "HOT_ENTRY_NAMES",
-    "COMM_CALL_NAMES",
 ]
 
 #: Names that *are* the communication API surface: a function with one of
 #: these names, or calling one of them as a method, sits on the hot path.
-#: Mirrors repro.mpi.comm / repro.bindings.comm_api / the transports.
-HOT_ENTRY_NAMES = frozenset({
-    # runtime byte-level API
-    "send_bytes", "isend_bytes", "recv_bytes", "irecv_bytes",
-    "sendrecv_bytes", "bcast_bytes", "gather_bytes", "scatter_bytes",
-    "allgather_bytes", "alltoall_bytes", "gatherv_bytes", "scatterv_bytes",
-    "allgatherv_bytes", "alltoallv_bytes",
-    # mpi4py-workalike surface
-    "Send", "Recv", "Isend", "Irecv", "Issend", "Ssend", "Sendrecv",
-    "send", "recv", "isend", "irecv", "ssend", "issend", "sendrecv",
-    "Bcast", "Reduce", "Allreduce", "Gather", "Scatter", "Allgather",
-    "Alltoall", "Reduce_scatter", "Scan", "Exscan",
-    "bcast", "reduce", "allreduce", "gather", "scatter", "allgather",
-    "alltoall", "scan", "exscan",
-    # matching engine / transport data path
-    "deliver", "_deliver_local", "post_recv",
-})
+#: The API table (barriers move no payload) plus the v-variants of the
+#: byte API and the matching engine / transport data path.
+HOT_ENTRY_NAMES = frozenset(_rules.COMM_API) - {"barrier", "Barrier"} | {
+    "gatherv_bytes", "scatterv_bytes", "allgatherv_bytes",
+    "alltoallv_bytes", "deliver", "_deliver_local", "post_recv",
+}
 
 #: The subset that, appearing as a *method call*, marks the caller hot.
 #: ``send``/``recv``/``gather`` alone are too common (sockets, queues);
@@ -75,20 +66,6 @@ _UNAMBIGUOUS_CALLS = frozenset({
     "Allgather", "Alltoall", "Reduce_scatter", "_deliver_local",
 })
 
-#: Every method name that counts as "a communication call" for loop rules.
-COMM_CALL_NAMES = frozenset({
-    "send", "recv", "isend", "irecv", "ssend", "issend", "sendrecv",
-    "Send", "Recv", "Isend", "Irecv", "Ssend", "Issend", "Sendrecv",
-    "bcast", "reduce", "allreduce", "gather", "scatter", "allgather",
-    "alltoall", "scan", "exscan", "barrier", "Barrier",
-    "Bcast", "Reduce", "Allreduce", "Gather", "Scatter", "Allgather",
-    "Alltoall", "Reduce_scatter", "Scan", "Exscan",
-    "send_bytes", "isend_bytes", "recv_bytes", "irecv_bytes",
-    "sendrecv_bytes", "bcast_bytes", "gather_bytes", "scatter_bytes",
-    "allgather_bytes", "alltoall_bytes",
-})
-
-
 @dataclass
 class CallSite:
     """One call expression inside a function body."""
@@ -98,6 +75,27 @@ class CallSite:
     callee: str
     #: dotted receiver text for methods ("self._endpoint.engine"), else None
     receiver: str | None
+
+    @property
+    def bare(self) -> bool:
+        """A plain ``f()``, not a method call on any receiver."""
+        return isinstance(self.node.func, ast.Name)
+
+    @property
+    def on_self(self) -> bool:
+        """A ``self.f()`` or ``cls.f()`` call."""
+        return self.receiver in ("self", "cls")
+
+    @classmethod
+    def of(cls, node: ast.AST) -> CallSite | None:
+        """The call site of a ``f()`` or ``x.f()`` node, else None."""
+        if not isinstance(node, ast.Call):
+            return None
+        if isinstance(node.func, ast.Attribute):
+            return cls(node, node.func.attr, _dotted(node.func.value))
+        if isinstance(node.func, ast.Name):
+            return cls(node, node.func.id, None)
+        return None
 
 
 @dataclass
@@ -115,6 +113,8 @@ class FunctionInfo:
     params: list[str] = field(default_factory=list)
     #: parameters known buffer-capable at >= 1 call site (fixpoint result)
     buffer_params: set[str] = field(default_factory=set)
+    #: defined in a class body (a ``@staticmethod`` too)
+    method: bool = False
 
     def is_module_level(self) -> bool:
         return isinstance(self.node, ast.Module)
@@ -133,90 +133,91 @@ def _dotted(node: ast.expr) -> str | None:
 
 
 def _collect_calls(scope: _rules.Scope) -> list[CallSite]:
-    sites = []
-    for node in scope.nodes:
-        if not isinstance(node, ast.Call):
-            continue
-        if isinstance(node.func, ast.Attribute):
-            sites.append(CallSite(
-                node=node,
-                callee=node.func.attr,
-                receiver=_dotted(node.func.value),
-            ))
-        elif isinstance(node.func, ast.Name):
-            sites.append(CallSite(node=node, callee=node.func.id,
-                                  receiver=None))
-    return sites
+    sites = (CallSite.of(node) for node in scope.nodes)
+    return [site for site in sites if site is not None]
 
 
-def _qualname_prefixes(tree: ast.Module) -> dict[int, str]:
-    """Map id(function node) -> its class-qualified name."""
-    out: dict[int, str] = {}
+def _qualnames(tree: ast.Module) -> dict[int, tuple[str, bool]]:
+    """Map id(function node) -> (class-qualified name, is a method)."""
+    out: dict[int, tuple[str, bool]] = {}
 
-    def visit(node: ast.AST, prefix: str) -> None:
+    def visit(node: ast.AST, prefix: str, in_class: bool) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{prefix}{child.name}"
-                out[id(child)] = qual
-                visit(child, f"{qual}.")
+                out[id(child)] = (qual, in_class)
+                visit(child, f"{qual}.", False)
             elif isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.")
+                visit(child, f"{prefix}{child.name}.", True)
             else:
-                visit(child, prefix)
+                visit(child, prefix, in_class)
 
-    visit(tree, "")
+    visit(tree, "", False)
     return out
 
 
 class Program:
-    """The whole-program view the perf/commgraph rules run over."""
+    """The whole-program view the perf/protocol/scale rules run over."""
 
     def __init__(self) -> None:
         self.functions: list[FunctionInfo] = []
         self.by_name: dict[str, list[FunctionInfo]] = {}
-        #: qualname -> qualnames of (name-resolved) callees
+        #: qualname -> qualnames of resolved callees
         self.call_edges: dict[str, set[str]] = {}
         #: qualnames on the hot path, mapped to a human-readable reason
         self.hot: dict[str, str] = {}
 
     # -- construction ------------------------------------------------------
     def add_module(self, path: str, tree: ast.Module) -> None:
-        prefixes = _qualname_prefixes(tree)
+        quals = _qualnames(tree)
         for scope in _rules.build_scopes(tree, path):
             node = scope.node
             if isinstance(node, ast.Module):
-                qual = f"{path}::<module>"
-                name = "<module>"
-                params: list[str] = []
+                info = FunctionInfo(
+                    qualname=f"{path}::<module>", name="<module>",
+                    path=path, node=node, scope=scope, cfg=build_cfg(node),
+                )
             else:
                 name = node.name  # type: ignore[union-attr]
-                qual = f"{path}::{prefixes.get(id(node), name)}"
+                qual, method = quals.get(id(node), (name, False))
                 args = node.args  # type: ignore[union-attr]
-                params = [a.arg for a in (
-                    list(args.posonlyargs) + list(args.args)
-                )]
-            info = FunctionInfo(
-                qualname=qual, name=name, path=path, node=node,
-                scope=scope, cfg=build_cfg(node), params=params,
-            )
+                info = FunctionInfo(
+                    qualname=f"{path}::{qual}", name=name, path=path,
+                    node=node, scope=scope, cfg=build_cfg(node),
+                    params=[a.arg for a in args.posonlyargs + args.args],
+                    method=method,
+                )
+                self.by_name.setdefault(name, []).append(info)
             info.calls = _collect_calls(scope)
             self.functions.append(info)
-            self.by_name.setdefault(name, []).append(info)
 
     def finalize(self) -> None:
         """Resolve call edges, compute the hot set, run the alias fixpoint."""
-        self._resolve_calls()
+        for info in self.functions:
+            self.call_edges[info.qualname] = {
+                callee.qualname
+                for site in info.calls for callee in self.resolve(info, site)
+            }
         self._compute_hot()
         self._propagate_buffer_params()
 
-    def _resolve_calls(self) -> None:
-        for info in self.functions:
-            edges = set()
-            for site in info.calls:
-                for callee in self.by_name.get(site.callee, ()):
-                    if not callee.is_module_level():
-                        edges.add(callee.qualname)
-            self.call_edges[info.qualname] = edges
+    def resolve(self, info: FunctionInfo,
+                site: CallSite) -> list[FunctionInfo]:
+        """The functions a call site in ``info`` may reach.
+
+        A bare ``f()`` reaches the non-method ``f`` of the caller's file,
+        and ``self.f()``/``cls.f()`` the method ``f`` of the caller's
+        file, when there is one.  Otherwise, and for any other receiver,
+        every function named ``f`` in the program.
+        """
+        named = self.by_name.get(site.callee, [])
+        if site.bare:
+            local = [f for f in named if f.path == info.path and not f.method]
+        elif site.on_self:
+            local = [f for f in named if f.path == info.path and f.method]
+        else:
+            local = []
+        return local or named
 
     def _is_hot_seed(self, info: FunctionInfo) -> str | None:
         if info.name in HOT_ENTRY_NAMES and not info.is_module_level():
@@ -224,7 +225,7 @@ class Program:
         for site in info.calls:
             if site.callee in _UNAMBIGUOUS_CALLS:
                 return f"calls communication primitive '{site.callee}()'"
-            if site.callee in COMM_CALL_NAMES and site.receiver is not None:
+            if site.callee in _rules.COMM_API and site.receiver is not None:
                 tail = ast.Name(id=site.receiver.split(".")[-1])
                 if _rules._comm_like(tail):
                     return (
@@ -242,7 +243,7 @@ class Program:
                 self.hot[info.qualname] = reason
                 todo.append(info.qualname)
         # Close over callees: anything a hot function calls runs per
-        # message too (over-approximate: name-resolved edges).
+        # message too.
         # Sorted edge order keeps the attributed caller (and with it the
         # baseline fingerprint of every downstream finding) independent
         # of set-iteration order across interpreter runs.
@@ -263,9 +264,7 @@ class Program:
             rounds += 1
             for info in self.functions:
                 for site in info.calls:
-                    for callee in self.by_name.get(site.callee, ()):
-                        if callee.is_module_level():
-                            continue
+                    for callee in self.resolve(info, site):
                         if self._flow_args(info, site.node, callee):
                             changed = True
 

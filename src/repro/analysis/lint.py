@@ -3,8 +3,8 @@
 Usage::
 
     ombpy-lint [paths...] [--format text|json|sarif] [--select IDs]
-               [--ignore IDs] [--perf] [--commgraph] [--protocol]
-               [--scale] [--inventory FILE] [--baseline FILE]
+               [--ignore IDs] [--perf] [--protocol] [--scale]
+               [--inventory FILE] [--baseline FILE]
     python -m repro.analysis.lint examples/ benchmarks/
 
 Exit status: 0 clean, 1 findings reported, 2 usage error.
@@ -15,15 +15,15 @@ rule on it, or ``# ombpy-lint: ignore[OMB001,OMB004]`` for specific rules
 in a statement continued across lines (backslash or open parentheses)
 applies to the whole statement.
 
-``--perf`` adds the whole-program performance family (OMB301-310) and
-``--commgraph`` the static communication-graph rules (OMB401-403); both
-are documented in ``docs/perf-lint.md``.  ``--protocol`` runs the
-rank-symbolic protocol verifier (OMB501-506) and ``--scale`` the
-scalability-debt rules with LogGP cost annotations (OMB510-515); see
-``docs/protocol-lint.md``.  ``--inventory`` writes the
-machine-readable finding inventory (``results/perf_lint.json``);
-``--baseline`` filters findings already grandfathered in a baseline file
-(``tools/perf_lint_baseline.json``), so only *new* sites fail.
+``--perf`` adds the whole-program performance family (OMB301-310),
+documented in ``docs/perf-lint.md``.  ``--protocol`` runs the
+rank-symbolic protocol verifier (OMB501-506), the one send/recv
+matching pass, and ``--scale`` the scalability-debt rules with LogGP
+cost annotations (OMB510-515); see ``docs/protocol-lint.md``.
+``--inventory`` writes the machine-readable finding inventory
+(``results/perf_lint.json``); ``--baseline`` filters findings already
+grandfathered in a baseline file (``tools/perf_lint_baseline.json``),
+so only *new* sites fail.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def lint_file(
 
 
 def _filter_program_findings(findings: list[Finding]) -> list[Finding]:
-    """Apply suppression pragmas to whole-program (perf/commgraph)
+    """Apply suppression pragmas to whole-program (perf/protocol/scale)
     findings, which are produced outside :func:`lint_source`."""
     by_path: dict[str, list[Finding]] = {}
     for f in findings:
@@ -157,16 +157,15 @@ def lint_paths(
     select: set[str] | None = None,
     ignore: set[str] | None = None,
     perf: bool = False,
-    commgraph: bool = False,
     protocol: bool = False,
     scale: bool = False,
 ) -> list[Finding]:
     """Lint files and directories (recursing into ``*.py``).
 
-    With ``perf``/``commgraph``/``protocol``/``scale``, the whole-program
-    engine loads every file under ``paths`` into one
-    :class:`~repro.analysis.interproc.Program` and runs the OMB3xx/OMB4xx/
-    OMB5xx families on top of the per-file rules.
+    With ``perf``/``protocol``/``scale``, the whole-program engine loads
+    every file under ``paths`` into one
+    :class:`~repro.analysis.interproc.Program` and runs the OMB3xx/OMB5xx
+    families on top of the per-file rules.
     """
     findings: list[Finding] = []
     for raw in paths:
@@ -176,7 +175,7 @@ def lint_paths(
                 findings.extend(lint_file(f, select=select, ignore=ignore))
         else:
             findings.extend(lint_file(p, select=select, ignore=ignore))
-    if perf or commgraph or protocol or scale:
+    if perf or protocol or scale:
         from .interproc import load_program
 
         program = load_program(list(paths))
@@ -185,10 +184,6 @@ def lint_paths(
             from .perf import run_perf_rules
 
             extra.extend(run_perf_rules(program, select, ignore))
-        if commgraph:
-            from .commgraph import run_commgraph_rules
-
-            extra.extend(run_commgraph_rules(program, select, ignore))
         if protocol:
             from .protocol import run_protocol_rules
 
@@ -203,14 +198,12 @@ def lint_paths(
 
 def _all_rule_docs() -> dict[str, str]:
     """Every rule ID -> one-line description, across all families."""
-    from .commgraph import COMMGRAPH_RULES
     from .perf import PERF_RULES
     from .protocol import PROTOCOL_RULES
     from .scale import SCALE_RULES
 
     docs = {rule_id: doc for rule_id, (_fn, doc) in RULES.items()}
     docs.update({r: doc for r, (_fn, doc) in PERF_RULES.items()})
-    docs.update({r: doc for r, (_fn, doc) in COMMGRAPH_RULES.items()})
     docs.update({r: doc for r, (_fn, doc) in PROTOCOL_RULES.items()})
     docs.update({r: doc for r, (_fn, doc) in SCALE_RULES.items()})
     return docs
@@ -335,11 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         "hot-path copies, pickle fallbacks, loop hazards",
     )
     parser.add_argument(
-        "--commgraph", action="store_true",
-        help="also run the static communication-graph rules (OMB401-403): "
-        "unmatched tags and head-to-head wait cycles",
-    )
-    parser.add_argument(
         "--protocol", action="store_true",
         help="also run the rank-symbolic protocol verifier (OMB501-506): "
         "collective-order mismatches and rank-dependent deadlocks, proven "
@@ -394,8 +382,7 @@ def main(argv: list[str] | None = None) -> int:
 
     findings = lint_paths(
         args.paths, select=select, ignore=ignore,
-        perf=args.perf, commgraph=args.commgraph,
-        protocol=args.protocol, scale=args.scale,
+        perf=args.perf, protocol=args.protocol, scale=args.scale,
     )
     if args.inventory:
         write_inventory(args.inventory, findings, args.paths)

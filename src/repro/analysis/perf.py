@@ -37,7 +37,7 @@ from typing import Callable, Iterator
 
 from . import rules as _rules
 from .findings import Finding
-from .interproc import COMM_CALL_NAMES, FunctionInfo, Program
+from .interproc import FunctionInfo, Program
 
 __all__ = ["PERF_RULES", "run_perf_rules"]
 
@@ -61,21 +61,10 @@ def _bufferish_name(name: str) -> bool:
     return bool(_BUFFERISH.search(name)) and not _SIZEISH.search(name)
 
 #: Blocking point-to-point methods for the in-loop rule.
-_BLOCKING_CALLS = frozenset({
-    "send", "recv", "ssend", "sendrecv",
-    "Send", "Recv", "Ssend", "Sendrecv",
-    "send_bytes", "recv_bytes", "sendrecv_bytes",
-})
-
-#: Collective methods (all API families) for the size-sweep rule.
-_COLLECTIVES = frozenset({
-    "bcast", "reduce", "allreduce", "gather", "scatter", "allgather",
-    "alltoall", "scan", "exscan", "barrier",
-    "Bcast", "Reduce", "Allreduce", "Gather", "Scatter", "Allgather",
-    "Alltoall", "Reduce_scatter", "Scan", "Exscan", "Barrier",
-    "bcast_bytes", "gather_bytes", "scatter_bytes", "allgather_bytes",
-    "alltoall_bytes",
-})
+_BLOCKING_CALLS = frozenset(
+    m for m, c in _rules.COMM_API.items()
+    if c.blocking and c.kind != "collective"
+)
 
 _SIZE_NAME = re.compile(r"(^|_)(size|sizes|nbytes|msg|length|len)s?($|_)",
                         re.IGNORECASE)
@@ -181,7 +170,7 @@ def _comm_calls_in(root: ast.AST) -> list[ast.Call]:
     out = []
     for node in _walk_no_nested(root):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in COMM_CALL_NAMES:
+            if node.func.attr in _rules.COMM_API:
                 out.append(node)
     return out
 
@@ -391,7 +380,7 @@ def check_collective_in_sweep(program: Program,
             continue
         for call in _comm_calls_in(loop):
             attr = call.func.attr  # type: ignore[union-attr]
-            if attr not in _COLLECTIVES:
+            if attr not in _rules.COLLECTIVES:
                 continue
             receiver = call.func.value  # type: ignore[union-attr]
             if not _rules._comm_like(receiver) \

@@ -1,18 +1,19 @@
 """Rank-symbolic protocol verifier: OMB501-506.
 
-The commgraph pass (OMB4xx) matches send/recv *sites* syntactically; it
-cannot see a deadlock whose shape only exists once ``rank`` takes a
-value — the classic shifted ring ``recv((rank-1) % size)`` before
-``send((rank+1) % size)`` looks perfectly paired site-by-site.  This
-pass closes that gap: for each function it **abstractly interprets**
-the body once per concrete ``(rank, N)`` over a ladder of sample sizes,
-folding every branch condition, loop bound, peer and tag expression
-through the symbolic-rank domain (:mod:`repro.analysis.rankdom`).  The
-result is one communication trace per rank, replayed on the simulator's
-engine (:mod:`repro.simulator.engine`) with buffered sends, as the
-runtime has them, and again with rendezvous sends.  A ``sendrecv`` is a
-posted receive, a buffered send and a wait; a collective completes once
-every rank arrives at it.
+The one communication-matching pass of ``ombpy-lint``.  Matching
+send/recv *sites* syntactically cannot see a deadlock whose shape only
+exists once ``rank`` takes a value — the classic shifted ring
+``recv((rank-1) % size)`` before ``send((rank+1) % size)`` looks
+perfectly paired site-by-site.  So for each function this pass
+**abstractly interprets** the body once per concrete ``(rank, N)``
+over a ladder of sample sizes, folding every branch condition, loop
+bound, peer and tag expression through the symbolic-rank domain
+(:mod:`repro.analysis.rankdom`).  The result is one communication
+trace per rank, replayed on the simulator's engine
+(:mod:`repro.simulator.engine`) with buffered sends, as the runtime has
+them, and again with rendezvous sends.  A ``sendrecv`` is a posted
+receive, a buffered send and a wait; a collective completes once every
+rank arrives at it.
 
 ========  ==============================================================
 OMB501    collective-order inconsistency: rank classes reach different
@@ -22,18 +23,19 @@ OMB502    subset collective: some ranks reach a collective that other
 OMB503    send that is never received at any sampled size
 OMB504    recv that no send ever matches (blocks forever, or leaks)
 OMB505    rank-dependent deadlock: a cycle of blocking receives proved
-          by simulation — the shape ``--commgraph`` cannot see
+          by simulation
 OMB506    deadlock under rendezvous sends: the pattern completes only
           because every send is eagerly buffered
 ========  ==============================================================
 
 The interpreter is deliberately *ineligible-by-default*: a function
 with an unresolvable peer, a rank-dependent loop it cannot unroll, a
-call into another comm-bearing function, or comm inside an unknown
-branch is skipped silently.  Every reported deadlock is therefore a
-replayed execution, not a heuristic — the cross-validation suite
-(tests/test_analysis_protocol_crossval.py) checks the verdict against
-exhaustive concrete simulation.
+call into another comm-bearing function (resolved by
+:meth:`~repro.analysis.interproc.Program.resolve`), or comm inside an
+unknown branch is skipped silently.  Every reported deadlock is
+therefore a replayed execution, not a heuristic — the cross-validation
+suite (tests/test_analysis_protocol_crossval.py) checks the verdict
+against exhaustive concrete simulation.
 
 Runs under ``ombpy-lint --protocol``; see ``docs/protocol-lint.md``.
 """
@@ -45,13 +47,6 @@ from dataclasses import dataclass
 
 from . import rankdom
 from . import rules as _rules
-from .commgraph import (
-    _BLOCKING_RECVS,
-    _PEER_KEYWORDS,
-    _PEER_POSITION,
-    _TAG_POSITION,
-    _site_kind,
-)
 from .findings import Finding
 from .interproc import FunctionInfo, Program
 from ..simulator import engine
@@ -86,6 +81,11 @@ _COMM_CREATORS = frozenset({
 })
 
 _WAIT_METHODS = frozenset({"wait", "Wait", "waitall", "Waitall", "wait_all"})
+
+#: Blocking sends that return once the payload is buffered, whatever the
+#: receiver does (``Comm.send_bytes`` is eager by contract): the
+#: rendezvous replay posts them without waiting.
+_BUFFERED_SENDS = frozenset({"send_bytes"})
 
 
 def _canon_collective(method: str) -> str:
@@ -149,19 +149,13 @@ def _iter_calls(node: ast.AST):
         yield from _iter_calls(child)
 
 
-def _has_comm(node: ast.AST, comm_funcs: frozenset[str]) -> bool:
-    """Does this subtree communicate (directly or through a known
-    comm-bearing helper)?"""
-    for call in _iter_calls(node):
-        if _site_kind(call) is not None:
-            return True
-        func = call.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None
-        )
-        if name in comm_funcs:
-            return True
-    return False
+def _has_comm(node: ast.AST, comm_calls: frozenset[int]) -> bool:
+    """Does this subtree communicate, directly or through one of
+    ``comm_calls`` (the ids of calls into comm-bearing functions)?"""
+    return any(
+        id(call) in comm_calls or _rules.comm_call(call) is not None
+        for call in _iter_calls(node)
+    )
 
 
 def _assigned_names(node: ast.AST) -> set[str]:
@@ -175,10 +169,10 @@ def _assigned_names(node: ast.AST) -> set[str]:
 class _TraceBuilder:
     """Interpret one function body for one concrete ``(rank, size)``."""
 
-    def __init__(self, info: FunctionInfo, comm_funcs: frozenset[str],
+    def __init__(self, info: FunctionInfo, comm_calls: frozenset[int],
                  rank: int, size: int) -> None:
         self.info = info
-        self.comm_funcs = comm_funcs
+        self.comm_calls = comm_calls
         self.env: dict[str, int] = {"rank": rank, "size": size}
         self.ops: list[TraceOp] = []
         self.approx = False
@@ -188,17 +182,6 @@ class _TraceBuilder:
 
     def _eval(self, node: ast.expr) -> int | None:
         return rankdom.eval_expr(node, self.env)
-
-    def _arg(self, call: ast.Call, method: str,
-             positions: dict[str, int], keywords: frozenset[str],
-             index: int | None = None) -> ast.expr | None:
-        pos = positions.get(method) if index is None else index
-        if pos is not None and pos < len(call.args):
-            return call.args[pos]
-        for kw in call.keywords:
-            if kw.arg in keywords:
-                return kw.value
-        return None
 
     def _resolve_peer(self, expr: ast.expr | None) -> int | None:
         """Concrete peer, None for ANY_SOURCE; _Unsupported otherwise."""
@@ -245,7 +228,7 @@ class _TraceBuilder:
     def _emit_call(self, call: ast.Call) -> None:
         func = call.func
         if isinstance(func, ast.Name):
-            if func.id in self.comm_funcs:
+            if id(call) in self.comm_calls:
                 raise _Unsupported(f"calls comm-bearing '{func.id}()'")
             if func.id in _WAIT_METHODS:
                 self._emit(TraceOp(kind="wait", method=func.id, node=call))
@@ -258,22 +241,23 @@ class _TraceBuilder:
         if method in _WAIT_METHODS:
             self._emit(TraceOp(kind="wait", method=method, node=call))
             return
-        if method in self.comm_funcs and _site_kind(call) is None:
+        if id(call) in self.comm_calls:
             raise _Unsupported(f"calls comm-bearing '{method}()'")
-        kind = _site_kind(call)
-        if kind is None:
+        spec = _rules.comm_call(call)
+        if spec is None:
             return
         if method in ("sendrecv", "sendrecv_bytes"):
             # The runtime posts the receive first, then does a buffered
             # send — deadlock-free by construction.  Model exactly that.
-            dest = self._resolve_peer(self._arg(
-                call, method, {}, frozenset({"dest"}), index=1))
-            sendtag = self._resolve_tag(self._arg(
-                call, method, {}, frozenset({"sendtag"}), index=2))
-            source = self._resolve_peer(self._arg(
-                call, method, {}, frozenset({"source"}), index=3))
-            recvtag = self._resolve_tag(self._arg(
-                call, method, {}, frozenset({"recvtag"}), index=4))
+            dest, sendtag, source, recvtag = (
+                _rules.call_arg(call, i, frozenset({kw}))
+                for i, kw in enumerate(
+                    ("dest", "sendtag", "source", "recvtag"), start=1)
+            )
+            dest = self._resolve_peer(dest)
+            sendtag = self._resolve_tag(sendtag)
+            source = self._resolve_peer(source)
+            recvtag = self._resolve_tag(recvtag)
             if dest is None:
                 raise _Unsupported("sendrecv to wildcard destination")
             if source != _PROC_NULL:
@@ -285,26 +269,22 @@ class _TraceBuilder:
             if source != _PROC_NULL:
                 self._emit(TraceOp(kind="wait", method=method, node=call))
             return
-        if kind == "collective":
+        if spec.kind == "collective":
             self._emit(TraceOp(kind="coll", method=method,
                                coll=_canon_collective(method), node=call))
             return
-        peer = self._resolve_peer(self._arg(
-            call, method, _PEER_POSITION, _PEER_KEYWORDS))
-        tag = self._resolve_tag(self._arg(
-            call, method, _TAG_POSITION, _rules.TAG_KEYWORDS))
+        peer = self._resolve_peer(
+            _rules.call_arg(call, spec.peer, _rules.PEER_KEYWORDS))
+        tag = self._resolve_tag(
+            _rules.call_arg(call, spec.tag, _rules.TAG_KEYWORDS))
         if peer == _PROC_NULL:
             return  # MPI semantics: a no-op that completes immediately
-        if kind == "send":
-            if peer is None:
-                raise _Unsupported("send to wildcard destination")
-            blocking = method in ("send", "Send", "ssend", "Ssend")
-            self._emit(TraceOp(kind="send" if blocking else "isend",
-                               method=method, peer=peer, tag=tag, node=call))
-        else:
-            blocking = method in _BLOCKING_RECVS
-            self._emit(TraceOp(kind="recv" if blocking else "irecv",
-                               method=method, peer=peer, tag=tag, node=call))
+        if spec.kind == "send" and peer is None:
+            raise _Unsupported("send to wildcard destination")
+        blocking = spec.blocking and method not in _BUFFERED_SENDS
+        kind = spec.kind if blocking else "i" + spec.kind
+        self._emit(TraceOp(kind=kind, method=method, peer=peer, tag=tag,
+                           node=call))
 
     def _scan_stmt_calls(self, stmt: ast.stmt) -> None:
         for call in _iter_calls(stmt):
@@ -359,7 +339,7 @@ class _TraceBuilder:
         if isinstance(stmt, ast.Try):
             for region in (stmt.handlers, stmt.orelse):
                 for sub in region:
-                    if _has_comm(sub, self.comm_funcs):
+                    if _has_comm(sub, self.comm_calls):
                         raise _Unsupported("comm in try handler/else")
             self._block(stmt.body)
             self._block(stmt.finalbody)
@@ -386,18 +366,18 @@ class _TraceBuilder:
         if isinstance(stmt, ast.Expr):
             if isinstance(stmt.value, (ast.ListComp, ast.SetComp,
                                        ast.DictComp, ast.GeneratorExp)) \
-                    and _has_comm(stmt.value, self.comm_funcs):
+                    and _has_comm(stmt.value, self.comm_calls):
                 raise _Unsupported("comm inside a comprehension")
             self._scan_stmt_calls(stmt)
             return
-        if _has_comm(stmt, self.comm_funcs):
+        if _has_comm(stmt, self.comm_calls):
             raise _Unsupported(
                 f"comm in unmodeled {type(stmt).__name__} statement"
             )
         self._invalidate(stmt)
 
     def _assign(self, stmt: ast.Assign) -> None:
-        if _has_comm(stmt.value, self.comm_funcs) and isinstance(
+        if _has_comm(stmt.value, self.comm_calls) and isinstance(
             stmt.value, (ast.ListComp, ast.SetComp, ast.DictComp,
                          ast.GeneratorExp),
         ):
@@ -421,7 +401,7 @@ class _TraceBuilder:
         # Unknown condition: only safe to skip when neither arm talks.
         for region in (stmt.body, stmt.orelse):
             for sub in region:
-                if _has_comm(sub, self.comm_funcs):
+                if _has_comm(sub, self.comm_calls):
                     raise _Unsupported(
                         "comm under unresolvable branch "
                         f"{ast.unparse(stmt.test)!r}"
@@ -473,7 +453,7 @@ class _TraceBuilder:
         # with a data-dependent trip count — not a protocol this model
         # can replay.  Without comm the loop is irrelevant to the trace;
         # just forget everything it binds.
-        if any(_has_comm(s, self.comm_funcs) for s in stmt.body):
+        if any(_has_comm(s, self.comm_calls) for s in stmt.body):
             raise _Unsupported("comm in while loop")
         self._invalidate(stmt)
         self._block(stmt.orelse)
@@ -483,7 +463,7 @@ class _TraceBuilder:
         """Unknown-trip loop: interpret one iteration with every name the
         loop binds unknown, and mark the emitted ops approximate (the
         unmatched-at-exit rules stand down; replayed deadlocks remain)."""
-        has_comm = any(_has_comm(s, self.comm_funcs) for s in body)
+        has_comm = any(_has_comm(s, self.comm_calls) for s in body)
         self._invalidate(stmt)
         if not has_comm:
             self._block(orelse)
@@ -505,29 +485,36 @@ class _TraceBuilder:
         self._block(orelse)
 
 
-def comm_bearing_names(program: Program) -> frozenset[str]:
-    """Simple names of functions that contain a direct comm call."""
-    names = set()
-    for info in program.functions:
-        if info.is_module_level():
-            continue
-        node = info.node
-        body = getattr(node, "body", [])
-        if any(
-            _site_kind(call) is not None
-            for stmt in body for call in _iter_calls(stmt)
-        ):
-            names.add(info.name)
-    return frozenset(names)
+def comm_bearing_calls(program: Program) -> dict[str, frozenset[int]]:
+    """Per function, the ids of its calls that may reach a comm-bearing
+    function — one that makes a communication call itself."""
+    bearing = {
+        info.qualname for info in program.functions
+        if not info.is_module_level() and any(
+            _rules.comm_call(call) is not None
+            for stmt in info.node.body  # type: ignore[attr-defined]
+            for call in _iter_calls(stmt)
+        )
+    }
+    return {
+        info.qualname: frozenset(
+            id(site.node) for site in info.calls
+            if _rules.comm_call(site.node) is None and any(
+                callee.qualname in bearing
+                for callee in program.resolve(info, site)
+            )
+        )
+        for info in program.functions
+    }
 
 
 def build_traces(
-    info: FunctionInfo, comm_funcs: frozenset[str], size: int,
+    info: FunctionInfo, comm_calls: frozenset[int], size: int,
 ) -> list[list[TraceOp]] | None:
     """One trace per rank at job size ``size``; None when ineligible."""
     traces: list[list[TraceOp]] = []
     for rank in range(size):
-        builder = _TraceBuilder(info, comm_funcs, rank, size)
+        builder = _TraceBuilder(info, comm_calls, rank, size)
         try:
             traces.append(builder.run())
         except _Unsupported:
@@ -655,7 +642,7 @@ def _classify_deadlock(result: engine.Simulation, size: int,
 
 
 def verify_function(
-    info: FunctionInfo, comm_funcs: frozenset[str],
+    info: FunctionInfo, comm_calls: frozenset[int],
     sizes: tuple[int, ...] = SAMPLE_SIZES,
 ) -> list[_Report]:
     """Replay one function across the size ladder; aggregated reports."""
@@ -673,7 +660,7 @@ def verify_function(
     evaluated = 0
     any_approx = False
     for size in sizes:
-        traces = build_traces(info, comm_funcs, size)
+        traces = build_traces(info, comm_calls, size)
         if traces is None:
             continue
         evaluated += 1
@@ -764,10 +751,10 @@ def run_protocol_rules(
     ignore: set[str] | None = None,
 ) -> list[Finding]:
     """Verify every eligible function in the program."""
-    comm_funcs = comm_bearing_names(program)
+    comm_calls = comm_bearing_calls(program)
     findings: list[Finding] = []
     for info in program.functions:
-        for report in verify_function(info, comm_funcs):
+        for report in verify_function(info, comm_calls[info.qualname]):
             if select is not None and report.rule not in select:
                 continue
             if ignore is not None and report.rule in ignore:

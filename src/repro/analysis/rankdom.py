@@ -1,7 +1,7 @@
 """Symbolic-rank domain: evaluate rank/size expressions parametrically.
 
-The commgraph and protocol passes both need to answer the same question
-about source text: *given that this process is rank ``r`` of ``N``, what
+The protocol and scale passes need to answer the same question about
+source text: *given that this process is rank ``r`` of ``N``, what
 does this expression evaluate to?*  This module is that evaluator.  An
 environment maps the distinguished keys ``"rank"`` / ``"size"`` (plus
 any locally-bound loop or assignment names) to concrete integers, and
@@ -11,11 +11,9 @@ any locally-bound loop or assignment names) to concrete integers, and
   ``None`` when any leaf is unknown;
 * :func:`eval_pred` gives three-valued truth for a branch condition —
   ``rank == 0``, ``not rank``, ``rank % 2 == 1``, ``rank < k and size
-  > 2`` — as ``True`` / ``False`` / ``None`` (unknown);
-* :func:`rank_guard_value` / :func:`else_guard_value` normalize a guard
-  to the single literal rank it selects, so textually different but
-  equivalent predicates (``rank == 0``, ``not rank``, ``0 == rank``,
-  the ``else`` of ``rank != 0``) all canonicalize to the same role.
+  > 2`` — as ``True`` / ``False`` / ``None`` (unknown), so textually
+  different but equivalent guards (``rank == 0``, ``not rank``,
+  ``0 == rank``, the ``else`` of ``rank != 0``) select the same ranks.
 
 Rank and size leaves are recognized by name (``rank``, ``world_rank``,
 ``size``, ``nprocs``, …), through attributes (``comm.rank``,
@@ -37,8 +35,6 @@ __all__ = [
     "is_rankish",
     "is_sizeish",
     "mentions_scale",
-    "rank_guard_value",
-    "else_guard_value",
 ]
 
 #: Names that denote "this process's rank" wherever they appear.
@@ -205,79 +201,3 @@ def eval_pred(node: ast.expr, env: dict[str, int]) -> bool | None:
     # Bare truthiness of an integer expression (`if rank:`).
     value = eval_expr(node, env)
     return None if value is None else bool(value)
-
-
-# -- guard normalization ----------------------------------------------------
-#
-# A "role" in the commgraph sense is the single literal rank a guard
-# selects.  Normalizing through evaluation (rather than pattern-matching
-# the AST shape) makes `rank == 0`, `0 == rank`, `not rank` and friends
-# all land on the same role, which is exactly the OMB402 false-positive
-# class: equivalent-but-textually-different predicates must pair up.
-
-#: Probe sizes for deciding "this guard selects exactly rank K".  The
-#: guard must pick the same single rank at every size it is probed at.
-_PROBE_SIZES = (2, 3, 4, 8)
-_MAX_PROBE_RANK = 8
-
-
-def _selected_ranks(test: ast.expr, size: int) -> set[int] | None:
-    """Ranks in [0, size) that satisfy ``test``; None when any rank's
-    truth value is unknown."""
-    selected: set[int] = set()
-    for r in range(min(size, _MAX_PROBE_RANK)):
-        truth = eval_pred(test, {"rank": r, "size": size})
-        if truth is None:
-            return None
-        if truth:
-            selected.add(r)
-    return selected
-
-
-def _structural_eq(test: ast.expr, op_type: type) -> int | None:
-    """``rank <op> K`` (either side) -> K for a literal K."""
-    if not (isinstance(test, ast.Compare) and len(test.ops) == 1
-            and isinstance(test.ops[0], op_type)):
-        return None
-    for subject, value in (
-        (test.left, test.comparators[0]),
-        (test.comparators[0], test.left),
-    ):
-        if is_rankish(subject):
-            literal = _rules._literal_int(value)
-            if literal is not None:
-                return literal
-    return None
-
-
-def rank_guard_value(test: ast.expr) -> int | None:
-    """K when ``test`` is equivalent to ``rank == K`` for a literal K
-    (independent of the job size), else None."""
-    # Fast structural path first: `rank == K` must normalize even for K
-    # larger than any probe size (the guard is vacuous at small N, but
-    # the *role* it names is still K).
-    structural = _structural_eq(test, ast.Eq)
-    if structural is not None:
-        return structural
-    candidate: int | None = None
-    for size in _PROBE_SIZES:
-        selected = _selected_ranks(test, size)
-        if selected is None or len(selected) != 1:
-            return None
-        (k,) = selected
-        if candidate is None:
-            candidate = k
-        elif candidate != k:
-            return None
-    return candidate
-
-
-def else_guard_value(test: ast.expr) -> int | None:
-    """K when the *else* branch of ``test`` is equivalent to
-    ``rank == K`` — e.g. the else of ``rank != 0``, or of ``rank``."""
-    structural = _structural_eq(test, ast.NotEq)
-    if structural is not None:
-        return structural
-    return rank_guard_value(
-        ast.UnaryOp(op=ast.Not(), operand=test)
-    )

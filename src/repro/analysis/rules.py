@@ -37,12 +37,65 @@ UPPER_SENDS = frozenset({"Send", "Isend", "Ssend", "Issend", "Sendrecv"})
 LOWER_RECVS = frozenset({"recv", "irecv"})
 UPPER_RECVS = frozenset({"Recv", "Irecv"})
 
-#: Positional index of the tag argument per method (mpi4py signatures).
+
+@dataclass(frozen=True)
+class CommCall:
+    """How one method of the communication API is called."""
+
+    kind: str                     # "send" | "recv" | "collective"
+    #: positional index of the peer (dest for sends, source for recvs)
+    peer: int | None = None
+    #: positional index of the tag
+    tag: int | None = None
+    #: returns only once its operation completes (not an ``i``-post)
+    blocking: bool = True
+
+
+#: The communication API surface — the mpi4py-workalike methods and the
+#: repro byte API (``send_bytes(payload, dest, tag)``,
+#: ``recv_bytes(source, tag, max_bytes)``) — as method -> call shape.
+#: Every analysis that asks "is this a send, a recv or a collective, and
+#: where are its peer and tag?" reads this one table.  The combined
+#: ``sendrecv`` counts as a send with no single peer or tag.
+COMM_API: dict[str, CommCall] = {
+    "send": CommCall("send", 1, 2),
+    "ssend": CommCall("send", 1, 2),
+    "isend": CommCall("send", 1, 2, blocking=False),
+    "issend": CommCall("send", 1, 2, blocking=False),
+    "Send": CommCall("send", 1, 2),
+    "Ssend": CommCall("send", 1, 2),
+    "Isend": CommCall("send", 1, 2, blocking=False),
+    "Issend": CommCall("send", 1, 2, blocking=False),
+    "sendrecv": CommCall("send"),
+    "Sendrecv": CommCall("send"),
+    "recv": CommCall("recv", 0, 1),
+    "irecv": CommCall("recv", 0, 1, blocking=False),
+    "Recv": CommCall("recv", 1, 2),
+    "Irecv": CommCall("recv", 1, 2, blocking=False),
+    "send_bytes": CommCall("send", 1, 2),
+    "isend_bytes": CommCall("send", 1, 2, blocking=False),
+    "sendrecv_bytes": CommCall("send"),
+    "recv_bytes": CommCall("recv", 0, 1),
+    "irecv_bytes": CommCall("recv", 0, 1, blocking=False),
+    **dict.fromkeys((
+        "bcast", "reduce", "allreduce", "gather", "scatter", "allgather",
+        "alltoall", "scan", "exscan", "barrier",
+        "Bcast", "Reduce", "Allreduce", "Gather", "Scatter", "Allgather",
+        "Alltoall", "Reduce_scatter", "Scan", "Exscan", "Barrier",
+        "bcast_bytes", "gather_bytes", "scatter_bytes", "allgather_bytes",
+        "alltoall_bytes",
+    ), CommCall("collective")),
+}
+COLLECTIVES = frozenset(
+    m for m, c in COMM_API.items() if c.kind == "collective"
+)
+PEER_KEYWORDS = frozenset({"dest", "source", "peer"})
+
+#: Positional index of the tag argument per mpi4py method (OMB004).
 TAG_POSITION = {
-    "send": 2, "isend": 2, "ssend": 2, "issend": 2, "bsend": 2,
-    "Send": 2, "Isend": 2, "Ssend": 2, "Issend": 2, "Bsend": 2,
-    "recv": 1, "irecv": 1,
-    "Recv": 2, "Irecv": 2,
+    **{m: c.tag for m, c in COMM_API.items()
+       if c.tag is not None and not m.endswith("_bytes")},
+    "bsend": 2, "Bsend": 2,
 }
 TAG_KEYWORDS = frozenset({"tag", "sendtag", "recvtag"})
 
@@ -165,6 +218,37 @@ def _method_calls(scope: Scope, names: frozenset[str]) -> list[ast.Call]:
     ]
     out.sort(key=lambda n: (n.lineno, n.col_offset))
     return out
+
+
+def comm_call(call: ast.Call) -> CommCall | None:
+    """The :data:`COMM_API` row of a communication call, else None.
+
+    ``send``/``recv``/``gather`` alone are common names on sockets and
+    queues, so they need a communicator-looking receiver; byte-API and
+    distinctive names do not.
+    """
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    spec = COMM_API.get(func.attr)
+    if spec is None or (
+        not func.attr.endswith("_bytes") and func.attr not in _DISTINCTIVE
+        and not _comm_like(func.value)
+    ):
+        return None
+    return spec
+
+
+def call_arg(call: ast.Call, index: int | None,
+             keywords: frozenset[str]) -> ast.expr | None:
+    """The argument at positional ``index``, else the first keyword
+    argument named in ``keywords``."""
+    if index is not None and index < len(call.args):
+        return call.args[index]
+    for kw in call.keywords:
+        if kw.arg in keywords:
+            return kw.value
+    return None
 
 
 def _is_buffer_expr(node: ast.expr, scope: Scope, depth: int = 0) -> bool:

@@ -36,9 +36,9 @@ import re
 from dataclasses import dataclass
 
 from . import rankdom
-from .commgraph import _site_kind
+from . import rules as _rules
 from .findings import Finding
-from .interproc import FunctionInfo, Program
+from .interproc import CallSite, FunctionInfo, Program
 from ..simulator.collective_cost import _ceil_log2
 from ..simulator.loggp import NetworkModel
 
@@ -188,9 +188,9 @@ _NAME_KIND = re.compile(r"^c?i?(send|recv)(_bytes)?$")
 
 
 def _call_kind(call: ast.Call) -> str | None:
-    kind = _site_kind(call)
-    if kind is not None:
-        return kind
+    spec = _rules.comm_call(call)
+    if spec is not None:
+        return spec.kind
     if isinstance(call.func, ast.Name):
         match = _NAME_KIND.match(call.func.id)
         if match:
@@ -260,24 +260,22 @@ def _loop_comm_kinds(loop: ast.For) -> set[str]:
     return kinds
 
 
-def _rank_loop_callees(program: Program) -> frozenset[tuple[str, str]]:
-    """``(path, name)`` of functions invoked from inside any rank loop —
+def _rank_loop_callees(program: Program) -> frozenset[str]:
+    """Qualnames of the functions invoked from inside any rank loop —
     one level of interprocedural vision for the per-peer rules (the
     transports dial in a loop but start the reader thread in a helper).
-    ``f()`` may call any ``f`` (path ``""``), ``self.f()`` one in its own
-    file; other receivers' methods (``rows.append()``) are not followed."""
-    names: set[tuple[str, str]] = set()
+    Only ``f()`` and ``self.f()`` are followed: another receiver's
+    method (``rows.append()``) is not this program's per-peer helper."""
+    quals: set[str] = set()
     for info in program.functions:
         for loop in _rank_loops(info):
             for node in ast.walk(loop):
-                func = node.func if isinstance(node, ast.Call) else None
-                if isinstance(func, ast.Name):
-                    names.add(("", func.id))
-                elif isinstance(func, ast.Attribute) \
-                        and isinstance(func.value, ast.Name) \
-                        and func.value.id in ("self", "cls"):
-                    names.add((info.path, func.attr))
-    return frozenset(names)
+                site = CallSite.of(node)
+                if site is not None and (site.bare or site.on_self):
+                    quals.update(
+                        f.qualname for f in program.resolve(info, site)
+                    )
+    return frozenset(quals)
 
 
 def _site(rule: str, info: FunctionInfo, node: ast.AST, summary: str,
@@ -356,9 +354,7 @@ def _creation_sites(info: FunctionInfo, callees: frozenset[str],
     of this function's own rank loops, or anywhere in a function that a
     rank loop elsewhere invokes."""
     regions: list[ast.AST] = list(_rank_loops(info))
-    if not info.is_module_level() and ctx.rank_loop_callees & {
-        ("", info.name), (info.path, info.name),
-    }:
+    if info.qualname in ctx.rank_loop_callees:
         regions = [info.node]
     for region in regions:
         for node in ast.walk(region):
@@ -450,7 +446,7 @@ def _check_hold_buffer(program: Program, info: FunctionInfo,
 
 @dataclass
 class _Context:
-    rank_loop_callees: frozenset[tuple[str, str]]
+    rank_loop_callees: frozenset[str]
 
 
 #: rule ID -> (checker over (program, info, ctx), one-line description).

@@ -1,16 +1,21 @@
-"""Static communication graph (OMB401-403): site extraction with rank
-roles, symbolic tag matching, and head-to-head wait-cycle detection."""
+"""The fixtures of the retired static communication graph (OMB401-403),
+each with its verdict under the protocol verifier (OMB501-506), now the
+one send/recv matching pass.  Each class keeps the name of the retired
+rule its fixtures were written for.
+
+The verifier replays every function as one SPMD program at each sampled
+job size, so a verdict names the size N at which a rank blocks.  The
+fixtures that only passed through cross-function literal-tag pairing or
+through the exemption of internal tags went with that behaviour.
+"""
 
 from __future__ import annotations
 
 import ast
 
-from repro.analysis.commgraph import (
-    ANY,
-    extract_sites,
-    run_commgraph_rules,
-)
+from repro.analysis import rules
 from repro.analysis.interproc import Program
+from repro.analysis.protocol import build_traces, run_protocol_rules
 
 
 def program_of(*sources: str) -> Program:
@@ -21,17 +26,31 @@ def program_of(*sources: str) -> Program:
     return prog
 
 
+def verdicts(*sources: str) -> list[tuple[str, int, str, str]]:
+    """(path, line, rule, message) per finding, in source order."""
+    return sorted(
+        (f.path, f.line, f.rule, f.message)
+        for f in run_protocol_rules(program_of(*sources))
+    )
+
+
 def rules_of(*sources: str) -> list[str]:
-    findings = run_commgraph_rules(program_of(*sources))
-    return sorted(f.rule for f in findings)
+    return [rule for _path, _line, rule, _msg in verdicts(*sources)]
 
 
-def sites_of(src: str):
-    prog = program_of(src)
-    out = []
-    for info in prog.functions:
-        out.extend(extract_sites(info))
-    return out
+def traces_of(src: str, size: int):
+    """Per-rank (kind, method, peer, tag) of the one function in ``src``;
+    None when the verifier cannot replay it."""
+    (info,) = [
+        i for i in program_of(src).functions if not i.is_module_level()
+    ]
+    traces = build_traces(info, frozenset(), size)
+    if traces is None:
+        return None
+    return [
+        [(op.kind, op.method, op.peer, op.tag) for op in trace]
+        for trace in traces
+    ]
 
 
 class TestSiteExtraction:
@@ -42,21 +61,29 @@ class TestSiteExtraction:
             "    comm.recv_bytes(0, 7)\n"
             "    comm.allreduce(buf)\n"
         )
-        sites = sorted(sites_of(src), key=lambda s: s.line)
-        assert [s.kind for s in sites] == ["send", "recv", "collective"]
-        send, recv, coll = sites
-        assert (send.tag, send.peer) == (7, 1)
-        assert (recv.tag, recv.peer) == (7, 0)
-        assert coll.method == "allreduce"
+        calls = sorted(
+            (n for n in ast.walk(ast.parse(src)) if isinstance(n, ast.Call)),
+            key=lambda n: n.lineno,
+        )
+        specs = [rules.comm_call(call) for call in calls]
+        assert [s.kind for s in specs] == ["send", "recv", "collective"]
+
+        def literal(call, index, keywords):
+            return rules._literal_int(rules.call_arg(call, index, keywords))
+
+        for call, spec, want in zip(calls, specs, ((1, 7), (0, 7))):
+            assert (
+                literal(call, spec.peer, rules.PEER_KEYWORDS),
+                literal(call, spec.tag, rules.TAG_KEYWORDS),
+            ) == want
 
     def test_keyword_and_wildcard_arguments(self):
         src = (
             "def pull(comm, rank, buf):\n"
             "    comm.recv(source=ANY_SOURCE, tag=ANY_TAG)\n"
         )
-        (site,) = sites_of(src)
-        assert site.tag == ANY
-        assert site.peer == ANY
+        # None is the wildcard in a trace.
+        assert traces_of(src, 2) == [[("recv", "recv", None, None)]] * 2
 
     def test_rank_guard_becomes_role(self):
         src = (
@@ -67,18 +94,22 @@ class TestSiteExtraction:
             "        comm.recv_bytes(0, 5)\n"
             "    comm.bcast_bytes(buf)\n"
         )
-        by_method = {s.method: s for s in sites_of(src)}
-        assert by_method["send_bytes"].role == 0
-        assert by_method["recv_bytes"].role == 1
-        assert by_method["bcast_bytes"].role is None  # outside any guard
+        bcast = ("coll", "bcast_bytes", None, None)
+        assert traces_of(src, 3) == [
+            [("isend", "send_bytes", 1, 5), bcast],
+            [("recv", "recv_bytes", 0, 5), bcast],
+            [bcast],  # outside every guard
+        ]
 
     def test_symbolic_tag_is_none(self):
+        # A tag the verifier cannot evaluate makes the function
+        # ineligible: no trace, so no verdict either way.
         src = (
             "def relay(comm, rank, buf, tag):\n"
             "    comm.send_bytes(buf, 1, tag)\n"
         )
-        (site,) = sites_of(src)
-        assert site.tag is None
+        assert traces_of(src, 2) is None
+        assert rules_of(src) == []
 
     def test_ambiguous_receiver_ignored(self):
         # queue.send(...) on a non-comm-looking receiver is not MPI.
@@ -86,7 +117,11 @@ class TestSiteExtraction:
             "def post(queue, item):\n"
             "    queue.send(item)\n"
         )
-        assert sites_of(src) == []
+        (call,) = [
+            n for n in ast.walk(ast.parse(src)) if isinstance(n, ast.Call)
+        ]
+        assert rules.comm_call(call) is None
+        assert traces_of(src, 2) == [[], []]
 
 
 class TestOMB401UnmatchedSend:
@@ -97,44 +132,12 @@ class TestOMB401UnmatchedSend:
             "def right(comm, rank):\n"
             "    comm.recv_bytes(0, 7)\n"
         )
-        found = rules_of(src)
-        assert "OMB401" in found
-        assert "OMB402" in found  # tag 7 recv is just as unmatched
-
-    def test_matching_literal_tags_clean(self):
-        src = (
-            "def left(comm, rank, buf):\n"
-            "    comm.send_bytes(buf, 1, 42)\n"
-            "def right(comm, rank):\n"
-            "    comm.recv_bytes(0, 42)\n"
-        )
-        assert rules_of(src) == []
-
-    def test_wildcard_recv_matches_any_send(self):
-        src = (
-            "def left(comm, rank, buf):\n"
-            "    comm.send_bytes(buf, 1, 42)\n"
-            "def right(comm, rank):\n"
-            "    comm.recv(source=0, tag=ANY_TAG)\n"
-        )
-        assert "OMB401" not in rules_of(src)
-
-    def test_symbolic_recv_tag_matches_any_send(self):
-        src = (
-            "def left(comm, rank, buf):\n"
-            "    comm.send_bytes(buf, 1, 42)\n"
-            "def right(comm, rank, tag):\n"
-            "    comm.recv_bytes(0, tag)\n"
-        )
-        assert "OMB401" not in rules_of(src)
-
-    def test_internal_tags_exempt(self):
-        # Tags >= 2**30 belong to the runtime's internal protocol.
-        src = (
-            "def beat(comm, rank, buf):\n"
-            f"    comm.send_bytes(buf, 1, {2**30 + 3})\n"
-        )
-        assert "OMB401" not in rules_of(src)
+        (send, recv) = verdicts(src)
+        assert send[1:3] == (2, "OMB503")
+        assert "never received at any sampled size" in send[3]
+        # Every rank waits on rank 0, which waits on itself.
+        assert recv[1:3] == (4, "OMB505")
+        assert "at N=2" in recv[3]
 
 
 class TestOMB402UnmatchedRecv:
@@ -143,16 +146,9 @@ class TestOMB402UnmatchedRecv:
             "def right(comm, rank):\n"
             "    comm.recv_bytes(0, 13)\n"
         )
-        assert "OMB402" in rules_of(src)
-
-    def test_symbolic_send_matches_all_recvs(self):
-        src = (
-            "def left(comm, rank, buf, tag):\n"
-            "    comm.send_bytes(buf, 1, tag)\n"
-            "def right(comm, rank):\n"
-            "    comm.recv_bytes(0, 13)\n"
-        )
-        assert "OMB402" not in rules_of(src)
+        ((_path, line, rule, message),) = verdicts(src)
+        assert (line, rule) == (2, "OMB505")
+        assert "at N=2" in message
 
 
 class TestOMB403WaitCycle:
@@ -166,8 +162,9 @@ class TestOMB403WaitCycle:
             "        comm.recv_bytes(0, 3)\n"
             "        comm.send_bytes(buf, 0, 3)\n"
         )
-        found = rules_of(src)
-        assert found.count("OMB403") == 1  # one finding per role pair
+        ((_path, line, rule, message),) = verdicts(src)
+        assert (line, rule) == (3, "OMB505")  # one finding per cycle
+        assert "deadlock at N=2: ranks 0,1" in message
 
     def test_send_first_order_clean(self):
         src = (
@@ -179,7 +176,7 @@ class TestOMB403WaitCycle:
             "        comm.recv_bytes(0, 3)\n"
             "        comm.send_bytes(buf, 0, 3)\n"
         )
-        assert "OMB403" not in rules_of(src)
+        assert rules_of(src) == []
 
     def test_nonblocking_recv_clean(self):
         src = (
@@ -191,10 +188,11 @@ class TestOMB403WaitCycle:
             "        req = comm.irecv_bytes(0, 3)\n"
             "        comm.send_bytes(buf, 0, 3)\n"
         )
-        assert "OMB403" not in rules_of(src)
+        assert rules_of(src) == []
 
     def test_roles_in_different_files_do_not_pair(self):
-        # OMB403 is per-module: unrelated files are unrelated programs.
+        # Each function is its own SPMD program: in a() rank 1 never
+        # sends, so rank 0 hangs at N=2; b() is the mirror image.
         left = (
             "def a(comm, rank, buf):\n"
             "    if rank == 0:\n"
@@ -207,14 +205,17 @@ class TestOMB403WaitCycle:
             "        comm.recv_bytes(0, 3)\n"
             "        comm.send_bytes(buf, 0, 3)\n"
         )
-        assert "OMB403" not in rules_of(left, right)
+        a, b = verdicts(left, right)
+        assert a[:3] == ("mod0.py", 3, "OMB504")
+        assert "rank 0 block forever" in a[3] and "at N=2" in a[3]
+        assert b[:3] == ("mod1.py", 3, "OMB504")
+        assert "rank 1 block forever" in b[3] and "at N=2" in b[3]
 
 
 class TestGuardNormalization:
-    """Equivalent-but-textually-different rank predicates must land on
-    the same role (the OMB402 false-positive class): `rank == 0`,
-    `0 == rank`, `not rank`, and the else arm of `rank != 0` all name
-    the rank-0 role."""
+    """Equivalent-but-textually-different rank predicates select the
+    same ranks: `rank == 0`, `0 == rank`, `not rank`, and the else arm
+    of `rank != 0` all run on rank 0 alone."""
 
     def test_not_rank_pairs_with_literal_guard(self):
         src = (
@@ -237,6 +238,8 @@ class TestGuardNormalization:
         assert rules_of(src) == []
 
     def test_else_of_rank_ne_zero_is_role_zero(self):
+        # Rank 0 sends to rank 1 only, so from N=3 on rank 2 waits for a
+        # message nobody sends.
         src = (
             "def main(comm, rank, buf):\n"
             "    if rank != 0:\n"
@@ -244,7 +247,9 @@ class TestGuardNormalization:
             "    else:\n"
             "        comm.send_bytes(buf, 1, 3)\n"
         )
-        assert rules_of(src) == []
+        ((_path, line, rule, message),) = verdicts(src)
+        assert (line, rule) == (3, "OMB504")
+        assert "rank 2 block forever" in message and "at N=3" in message
 
     def test_bare_rank_truthiness_else_arm(self):
         src = (
@@ -254,7 +259,9 @@ class TestGuardNormalization:
             "    else:\n"
             "        comm.send_bytes(buf, 1, 3)\n"
         )
-        assert rules_of(src) == []
+        ((_path, line, rule, message),) = verdicts(src)
+        assert (line, rule) == (3, "OMB504")
+        assert "rank 2 block forever" in message and "at N=3" in message
 
     def test_true_tag_mismatch_still_flagged(self):
         # Normalization must not swallow real mismatches: these tags
@@ -266,4 +273,6 @@ class TestGuardNormalization:
             "    if rank == 1:\n"
             "        comm.recv_bytes(0, 4)\n"
         )
-        assert rules_of(src) == ["OMB401", "OMB402"]
+        ((_path, line, rule, message),) = verdicts(src)
+        assert (line, rule) == (5, "OMB504")
+        assert "rank 1 block forever" in message and "at N=2" in message

@@ -7,6 +7,7 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.interproc import Program, load_program
+from repro.analysis.lint import fingerprint
 from repro.analysis.perf import run_perf_rules
 
 
@@ -43,6 +44,33 @@ class TestInterproc:
         assert "helper" in hot           # called from hot
         assert "transform" in hot        # transitively hot
         assert "cold" not in hot
+
+    def test_same_named_function_in_another_file_moves_nothing(self):
+        # A hot path's `_run()` and `self.check()` reach the helpers of
+        # their own file; a same-named function elsewhere in the program
+        # stays cold and leaves every fingerprint where it was.
+        hot = (
+            "class Channel:\n"
+            "    def send_bytes(self, payload, dest, tag):\n"
+            "        self.check(payload)\n"
+            "        _run(payload)\n"
+            "    def check(self, payload):\n"
+            "        return len(payload)\n"
+            "def _run(payload):\n"
+            "    return bytes(payload)\n"
+        )
+        other = (
+            "def _run(frame):\n"
+            "    return bytes(frame)\n"
+            "def check(frame):\n"
+            "    return frame[4:] + frame[:4]\n"
+        )
+        alone, both = program_of(hot), program_of(hot, other)
+        assert set(both.hot) == set(alone.hot)
+        assert "mod0.py::_run" in set(alone.hot)
+        prints = [fingerprint(f) for f in run_perf_rules(alone)]
+        assert prints  # the hot `_run` copies its payload
+        assert [fingerprint(f) for f in run_perf_rules(both)] == prints
 
     def test_buffer_params_flow_across_calls(self):
         src = (

@@ -1,23 +1,33 @@
 """Symbolic-rank domain: expression folding, three-valued predicates,
-and guard normalization (the OMB402 false-positive class)."""
+and equivalent guards selecting the same ranks."""
 
 from __future__ import annotations
 
 import ast
 
 from repro.analysis.rankdom import (
-    else_guard_value,
     eval_expr,
     eval_pred,
     is_rankish,
     is_sizeish,
     mentions_scale,
-    rank_guard_value,
 )
 
 
 def expr(src: str) -> ast.expr:
     return ast.parse(src, mode="eval").body
+
+
+def selected(guard: str, size: int) -> set[int] | None:
+    """Ranks of a ``size``-rank job that take the guard's true arm; None
+    when any rank's truth value is unknown."""
+    truths = [
+        eval_pred(expr(guard), {"rank": r, "size": size})
+        for r in range(size)
+    ]
+    if None in truths:
+        return None
+    return {r for r, truth in enumerate(truths) if truth}
 
 
 class TestEvalExpr:
@@ -73,28 +83,32 @@ class TestEvalPred:
 
 
 class TestGuardNormalization:
+    """Textually different but equivalent guards select the same ranks
+    at every job size, which is what lets the protocol verifier pair a
+    `not rank` send with a `rank == 1` receive."""
+
     def test_equivalent_spellings_of_rank_eq_zero(self):
         for spelling in ("rank == 0", "0 == rank", "not rank",
                          "rank < 1", "rank <= 0"):
-            assert rank_guard_value(expr(spelling)) == 0, spelling
+            for size in (2, 3, 4, 8):
+                assert selected(spelling, size) == {0}, spelling
 
     def test_nonzero_roles(self):
-        assert rank_guard_value(expr("rank == 1")) == 1
-        # Structural path: K beyond the probe sizes still names role K.
-        assert rank_guard_value(expr("rank == 5")) == 5
-        assert rank_guard_value(expr("rank == 31")) == 31
+        assert selected("rank == 1", 4) == {1}
+        assert selected("rank == 5", 8) == {5}
+        # A rank beyond the job is selected by no rank of it.
+        assert selected("rank == 31", 8) == set()
 
     def test_non_single_rank_guards(self):
-        assert rank_guard_value(expr("rank % 2 == 0")) is None
-        assert rank_guard_value(expr("rank != 0")) is None
-        assert rank_guard_value(expr("size == 2")) is None
-        assert rank_guard_value(expr("flag")) is None
+        assert selected("rank % 2 == 0", 4) == {0, 2}
+        assert selected("rank != 0", 4) == {1, 2, 3}
+        assert selected("size == 2", 2) == {0, 1}
+        assert selected("flag", 2) is None
 
     def test_else_guard(self):
-        assert else_guard_value(expr("rank != 0")) == 0
-        assert else_guard_value(expr("rank")) == 0
-        assert else_guard_value(expr("0 != rank")) == 0
-        assert else_guard_value(expr("rank == 0")) is None
+        for spelling in ("rank != 0", "rank", "0 != rank"):
+            assert selected(f"not ({spelling})", 4) == {0}, spelling
+        assert selected("not (rank == 0)", 4) == {1, 2, 3}
 
 
 class TestScaleLeaves:

@@ -174,20 +174,22 @@ class TestLazyStreamFabric:
                 e.close()
 
     def test_first_send_dials_exactly_once(self):
+        # Posting the receive makes rank 1 dial rank 0 in the background
+        # (ensure_peer), racing rank 0's own first dial.  Either dial may
+        # carry the first message; the second send must dial nothing.
         transports, endpoints, comms = _tcp_world(2)
         try:
             th, result = _recv_in_thread(comms[1], 0, 7, 64)
             comms[0].send_bytes(b"lazy", 1, 7)
+            first = transports[0].connection_stats()
+            assert first["dials"] <= 1
             comms[0].send_bytes(b"lazy2", 1, 8)
             th.join(10)
             assert result["data"] == b"lazy"
             stats = transports[0].connection_stats()
-            assert stats["dials"] == 1  # second send reused the channel
+            assert stats["dials"] == first["dials"]  # channel reused
             assert transports[0].connected_peers() == [1]
-            # The receiver sees the accepted channel as connected too.
-            assert _wait_for(
-                lambda: transports[1].connection_stats()["accepts"] == 1
-            )
+            assert _wait_for(lambda: transports[1].connected_peers() == [0])
         finally:
             for e in endpoints:
                 e.close()

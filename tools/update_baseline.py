@@ -1,9 +1,8 @@
 #!/usr/bin/env python
 """Regenerate the perf-lint baseline (``tools/perf_lint_baseline.json``).
 
-The CI ``perf-lint`` job runs ``ombpy-lint --perf --commgraph --protocol
---scale`` with
-``--baseline tools/perf_lint_baseline.json``: findings whose fingerprint
+The CI ``perf-lint`` job runs ``ombpy-lint --perf --protocol --scale``
+with ``--baseline tools/perf_lint_baseline.json``: findings whose fingerprint
 (path::rule::message) is in the baseline are grandfathered; anything new
 fails the build.  After deliberately fixing (or accepting) hot-path
 sites, refresh the baseline with::
@@ -37,8 +36,7 @@ DEFAULT_OUT = os.path.join("tools", "perf_lint_baseline.json")
 
 
 def build_baseline(paths: list[str]) -> dict[str, int]:
-    findings = lint_paths(paths, perf=True, commgraph=True,
-                          protocol=True, scale=True)
+    findings = lint_paths(paths, perf=True, protocol=True, scale=True)
     counts: dict[str, int] = {}
     for f in findings:
         fp = fingerprint(f)
