@@ -613,16 +613,25 @@ def _classify_deadlock(result: engine.Simulation, size: int,
             "pattern only completes because sends are eagerly "
             "buffered; reorder or use non-blocking posts",
         )
-    # All heads are recv/wait: decide cycle vs. orphaned receive.
-    waiting_on_blocked = False
+    # All heads are recv/wait: decide cycle vs. orphaned receive.  Each
+    # blocked rank waits on the other blocked ranks that could send to
+    # it; peel off ranks that wait on nobody still in the graph.  What
+    # remains holds a cycle among distinct ranks — a rank waiting only
+    # on itself, or on a chain ending there, is an orphaned receive.
+    waits = {}
     for r, op in blocked.items():
-        peers = [op.peer] if op.peer is not None else list(blocked)
-        if op.kind == "wait":
-            peers = list(blocked)
-        if any(p in blocked and p != r for p in peers):
-            waiting_on_blocked = True
+        peers = (
+            set(blocked) if op.peer is None or op.kind == "wait"
+            else {op.peer}
+        )
+        waits[r] = peers - {r}
+    while True:
+        free = [r for r, peers in waits.items() if not peers & waits.keys()]
+        if not free:
             break
-    if waiting_on_blocked:
+        for r in free:
+            del waits[r]
+    if waits:
         peer_text = (
             f" from rank {anchor.peer}" if anchor.peer is not None else ""
         )
@@ -636,8 +645,9 @@ def _classify_deadlock(result: engine.Simulation, size: int,
     return _Report(
         "OMB504", "error", anchor.node,
         f"{where} block forever in {anchor.describe()} at N={size}: "
-        "every rank that could send has already finished — this "
-        "receive can never be matched",
+        "every rank that could send has finished or is itself stuck "
+        "in a receive nothing matches — this receive can never be "
+        "matched",
     )
 
 

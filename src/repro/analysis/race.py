@@ -14,15 +14,18 @@ Activated with::
         ...   # any bindings-level traffic on this rank
 
 or for benchmark runs via the driver's ``--sanitize`` flag.  While active,
-the sanitizer installs itself on this rank's endpoint (duck-typed: the
-runtime and bindings consult ``endpoint.sanitizer`` without importing this
-module) and gives every resolved :class:`~repro.bindings.buffers.BufferSpec`
-posted to a non-blocking operation an ownership record — a :class:`Pin`
-holding the buffer's host address interval, an Adler-32 content snapshot,
-and the posting rank's vector-clock epoch.  Per-rank vector clocks advance
-at request post/completion and at collective entry/exit (merging every
-rank's clock through the shared fabric state on the threads transport), so
-each diagnostic can order the post and the conflicting access.
+the sanitizer is an observer on this rank's endpoint
+(:class:`repro.mpi.observer.Observer`): every buffer handed to a pending
+operation (``on_pin``: ``Isend``/``Irecv``, persistent ``Start``, a
+``Bcast`` while it runs) gets an ownership record — a :class:`Pin`
+holding the buffer's host address interval, an Adler-32 content
+snapshot, and the posting rank's vector-clock epoch — kept in the
+sanitizer's own request → pin map until the request completes
+(``on_request_done``).  Blocking calls declare their buffers
+(``on_access``).  Per-rank vector clocks advance at pin and completion
+and at collective entry (``on_coll_enter``, merging every rank's clock
+through the shared fabric state on the threads transport), so each
+diagnostic can order the post and the conflicting access.
 
 Detected hazards (runtime rule IDs, continuing the verifier's OMB1xx band):
 
@@ -56,8 +59,9 @@ import threading
 import weakref
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from ..mpi.observer import Observer
 from .findings import Finding
 from .verifier import _resolve_endpoint
 
@@ -202,12 +206,18 @@ def _user_location() -> str:
     return fallback or "<unknown>"
 
 
+#: Calls whose pin is a receive buffer the operation will write.
+_RECEIVES = ("Irecv", "Recv_init")
+#: Non-blocking point-to-point calls; any other pinning call is a
+#: collective that owns its buffer only while it runs.
+_POINT_TO_POINT = ("Isend", "Send_init") + _RECEIVES
+
+
 @dataclass
 class Pin:
     """Ownership record for one buffer under one pending operation."""
 
-    op: str                     # "Isend" / "Irecv" / "Send_init" / ...
-    rank: int
+    op: str                     # "Isend" / "Irecv" / "bcast(root=0)" / ...
     lo: int                     # host address interval [lo, hi)
     hi: int
     nbytes: int
@@ -217,9 +227,10 @@ class Pin:
     where: str                  # user source location of the post
     desc: str                   # human-readable buffer description
     writes: bool                # operation writes the buffer (Irecv family)
-    verify: bool                # re-checksum at release
-    owner: "Sanitizer" = field(repr=False, default=None)
-    released: bool = False
+
+    @property
+    def collective(self) -> bool:
+        return self.op not in _POINT_TO_POINT
 
     def overlaps(self, lo: int, hi: int) -> bool:
         return self.nbytes > 0 and hi > self.lo and lo < self.hi
@@ -230,38 +241,9 @@ class Pin:
             f"(epoch {self.epoch})"
         )
 
-    def release(self) -> None:
-        """Complete the pinning operation (called from wait/test paths)."""
-        if self.owner is not None:
-            self.owner.complete(self)
 
-
-def _describe_view(view: memoryview, nbytes: int, obj=None) -> str:
-    name = type(obj).__name__ if obj is not None else "buffer"
-    return f"{name} buffer of {nbytes} bytes"
-
-
-def _addr_of(view: memoryview) -> int:
-    """Host address of a C-contiguous byte view (0 for empty views)."""
-    if view.nbytes == 0:
-        return 0
-    import numpy as np
-
-    return int(
-        np.frombuffer(view, dtype=np.uint8).__array_interface__["data"][0]
-    )
-
-
-class Sanitizer:
-    """Per-rank sanitizer handle, installed on one endpoint.
-
-    The bindings layer calls in through duck-typed hook points: non-blocking
-    posts create pins (``pin_spec``/``pin_view``), request wait/test paths
-    release them (``complete``), blocking operations declare their accesses
-    (``check_read``/``check_write``), and collectives bracket their buffers
-    (``coll_begin``/``coll_end``) and synchronize clocks (``on_collective``,
-    called from the collective-tag reservation in the runtime).
-    """
+class Sanitizer(Observer):
+    """Per-rank sanitizer, attached to one endpoint's observers."""
 
     def __init__(self, endpoint, shared: _RaceState,
                  strict: bool = True) -> None:
@@ -271,24 +253,24 @@ class Sanitizer:
         self.strict = strict
         self.findings: list[Finding] = []
         self.clock = VectorClock(self.rank, endpoint.world_size)
-        self._pins: list[Pin] = []
+        #: id(request) -> (request, pin) until the request completes
+        self._owned: dict[int, tuple] = {}
         self._lock = threading.Lock()
 
     # -- lifecycle -------------------------------------------------------
     def attach(self) -> None:
         self.shared.register(self.rank, self.clock)
-        self.endpoint.sanitizer = self
+        self.endpoint.attach(self)
 
     def detach(self) -> None:
-        if self.endpoint.sanitizer is self:
-            self.endpoint.sanitizer = None
+        self.endpoint.detach(self)
         self.shared.unregister(self.rank)
 
     def finish(self) -> None:
         """End-of-region check: report (never raise) still-pending pins."""
         with self._lock:
-            leaked = [p for p in self._pins if not p.released]
-            self._pins = []
+            owned, self._owned = self._owned, {}
+        leaked = [pin for _req, pin in owned.values() if not pin.collective]
         for pin in leaked:
             self.findings.append(Finding(
                 rule=RULE_LEAKED_PIN, severity="warning",
@@ -308,71 +290,69 @@ class Sanitizer:
         if self.strict:
             raise exc_type(message)
 
-    # -- pin lifecycle ---------------------------------------------------
-    def pin_spec(self, spec, op: str) -> Pin:
-        """Pin a resolved BufferSpec at non-blocking post time."""
-        lo, hi = spec.addr_range()
-        return self._pin(
-            lo, hi, spec.nbytes, spec.view, spec.checksum(),
-            op=op, desc=spec.describe(),
-            writes=op in ("Irecv",), verify=True,
-        )
+    # -- events: pin lifecycle -------------------------------------------
+    def on_pin(self, request, buf, op: str) -> None:
+        """``request`` owns ``buf`` (a BufferSpec or any byte buffer)."""
+        if not hasattr(buf, "addr_range"):
+            from ..bindings.buffers import resolve_buffer
 
-    def pin_view(self, view: memoryview, op: str, writes: bool,
-                 verify: bool, obj=None) -> Pin:
-        """Pin a raw byte view (persistent-request path)."""
-        lo = _addr_of(view)
-        return self._pin(
-            lo, lo + view.nbytes, view.nbytes, view, zlib.adler32(view),
-            op=op, desc=_describe_view(view, view.nbytes, obj),
-            writes=writes, verify=verify,
+            buf = resolve_buffer(buf)
+        lo, hi = buf.addr_range()
+        pin = Pin(
+            op=op, lo=lo, hi=hi, nbytes=buf.nbytes, view=buf.view,
+            checksum=buf.checksum(), epoch=(), where=_user_location(),
+            desc=buf.describe(), writes=op in _RECEIVES,
         )
-
-    def _pin(self, lo: int, hi: int, nbytes: int, view: memoryview,
-             checksum: int, *, op: str, desc: str, writes: bool,
-             verify: bool) -> Pin:
-        where = _user_location()
+        if pin.collective:
+            # Entry is a synchronization event: absorb peer epochs.
+            self.clock.tick()
+            self.shared.merge_peers_into(self.clock)
+            pin.epoch = self.clock.snapshot()
+        else:
+            self._check_overlap(pin)
+            pin.epoch = self.clock.tick()
         with self._lock:
-            pending = [p for p in self._pins if not p.released]
+            self._owned[id(request)] = (request, pin)
+
+    def _check_overlap(self, pin: Pin) -> None:
         # Two pending reads (send+send) of one buffer are legal; any
         # overlap involving a writer is not.
-        for prev in pending:
-            if prev.overlaps(lo, hi) and (writes or prev.writes):
+        for prev in self._pending_overlaps(pin.lo, pin.hi):
+            if pin.writes or prev.writes:
                 self._report(
                     RULE_OVERLAPPING_PINS,
-                    f"rank {self.rank}: '{op}' posted at {where} pins "
-                    f"bytes [{lo:#x}, {hi:#x}) of {desc}, overlapping "
-                    f"{prev.describe()} — two pending operations may not "
-                    "share buffer bytes unless both are sends",
+                    f"rank {self.rank}: '{pin.op}' posted at {pin.where} "
+                    f"pins bytes [{pin.lo:#x}, {pin.hi:#x}) of {pin.desc}, "
+                    f"overlapping {prev.describe()} — two pending operations "
+                    "may not share buffer bytes unless both are sends",
                     OverlappingPinError,
                 )
-        pin = Pin(
-            op=op, rank=self.rank, lo=lo, hi=hi, nbytes=nbytes, view=view,
-            checksum=checksum, epoch=self.clock.tick(), where=where,
-            desc=desc, writes=writes, verify=verify, owner=self,
-        )
-        with self._lock:
-            self._pins.append(pin)
-        return pin
 
-    def complete(self, pin: Pin) -> None:
-        """The pinning operation completed (wait/test); verify and unpin."""
-        if pin.released:
-            return
-        pin.released = True
+    def on_request_done(self, request) -> None:
+        """The owning operation completed (wait/test, or the collective
+        returned); verify the buffer and unpin it."""
         with self._lock:
-            try:
-                self._pins.remove(pin)
-            except ValueError:
-                pass
+            entry = self._owned.pop(id(request), None)
+            if entry is None:
+                return
+            pin = entry[1]
+        if pin.collective:
+            self.shared.merge_peers_into(self.clock)
         self.clock.tick()
-        if not pin.verify or pin.nbytes == 0:
-            return
-        now = zlib.adler32(pin.view)
-        if now == pin.checksum:
+        if pin.nbytes == 0 or zlib.adler32(pin.view) == pin.checksum:
             return
         here = _user_location()
-        if pin.writes:
+        if pin.collective:
+            self._report(
+                RULE_COLLECTIVE_MUTATION,
+                f"rank {self.rank}: {pin.desc} was mutated during "
+                f"collective '{pin.op}' entered at {pin.where} "
+                f"(detected at exit, {here}; entry epoch "
+                f"{pin.epoch}) — all ranks' buffers must stay "
+                "untouched while the collective executes",
+                CollectiveBufferError,
+            )
+        elif pin.writes:
             self._report(
                 RULE_TOUCH_BEFORE_WAIT,
                 f"rank {self.rank}: {pin.desc} was written between the "
@@ -391,35 +371,22 @@ class Sanitizer:
                 WriteAfterPostError,
             )
 
-    # -- blocking-access checks ------------------------------------------
-    def check_read(self, spec, op: str) -> None:
-        """A blocking operation is about to read ``spec``'s bytes."""
+    # -- events: blocking accesses and collectives -----------------------
+    def on_access(self, spec, op: str, write: bool) -> None:
+        """Blocking call ``op`` is about to read (or write) ``spec``."""
         lo, hi = spec.addr_range()
         for pin in self._pending_overlaps(lo, hi):
             if pin.writes:
-                self._report(
-                    RULE_TOUCH_BEFORE_WAIT,
-                    f"rank {self.rank}: '{op}' at {_user_location()} reads "
-                    f"{spec.describe()}, which overlaps {pin.describe()} — "
-                    "the receive buffer is undefined until Wait/Test "
-                    "completes it",
-                    ReadBeforeWaitError,
-                )
-
-    def check_write(self, spec, op: str) -> None:
-        """A blocking operation is about to write ``spec``'s bytes."""
-        lo, hi = spec.addr_range()
-        for pin in self._pending_overlaps(lo, hi):
-            if pin.writes:
+                verb = "writes" if write else "reads"
                 self._report(
                     RULE_TOUCH_BEFORE_WAIT,
                     f"rank {self.rank}: '{op}' at {_user_location()} "
-                    f"writes {spec.describe()}, which overlaps "
-                    f"{pin.describe()} — the buffer belongs to the pending "
-                    "receive until Wait/Test completes it",
+                    f"{verb} {spec.describe()}, which overlaps "
+                    f"{pin.describe()} — the receive buffer belongs to the "
+                    "pending receive until Wait/Test completes it",
                     ReadBeforeWaitError,
                 )
-            else:
+            elif write:
                 self._report(
                     RULE_WRITE_AFTER_POST,
                     f"rank {self.rank}: '{op}' at {_user_location()} "
@@ -432,52 +399,12 @@ class Sanitizer:
     def _pending_overlaps(self, lo: int, hi: int) -> list[Pin]:
         with self._lock:
             return [
-                p for p in self._pins
-                if not p.released and p.overlaps(lo, hi)
+                pin for _req, pin in self._owned.values()
+                if not pin.collective and pin.overlaps(lo, hi)
             ]
 
-    # -- collectives -----------------------------------------------------
-    def coll_begin(self, spec, name: str, root: int | None = None) -> Pin:
-        """Entering a collective that communicates ``spec``.
-
-        Returns a token pin the matching :meth:`coll_end` consumes.  Entry
-        is a synchronization event: tick, and absorb peer epochs.
-        """
-        self.clock.tick()
-        self.shared.merge_peers_into(self.clock)
-        lo, hi = spec.addr_range()
-        label = name if root is None else f"{name}(root={root})"
-        return Pin(
-            op=label, rank=self.rank, lo=lo, hi=hi, nbytes=spec.nbytes,
-            view=spec.view, checksum=spec.checksum(),
-            epoch=self.clock.snapshot(), where=_user_location(),
-            desc=spec.describe(), writes=False, verify=True, owner=self,
-        )
-
-    def coll_end(self, token: Pin, wrote: bool = False) -> None:
-        """Leaving the collective entered at :meth:`coll_begin`.
-
-        ``wrote`` marks buffers the collective itself legitimately filled
-        (a non-root rank's received data); for all others the contents
-        must be byte-identical to the entry snapshot.
-        """
-        self.shared.merge_peers_into(self.clock)
-        self.clock.tick()
-        if wrote or token.nbytes == 0:
-            return
-        if zlib.adler32(token.view) != token.checksum:
-            self._report(
-                RULE_COLLECTIVE_MUTATION,
-                f"rank {self.rank}: {token.desc} was mutated during "
-                f"collective '{token.op}' entered at {token.where} "
-                f"(detected at exit, {_user_location()}; entry epoch "
-                f"{token.epoch}) — all ranks' buffers must stay "
-                "untouched while the collective executes",
-                CollectiveBufferError,
-            )
-
-    def on_collective(self, tag: int) -> None:
-        """Runtime-level hook: a collective reserved its internal tag."""
+    def on_coll_enter(self, context, name, root, op, tag) -> None:
+        """Collective entry is a vector-clock synchronization point."""
         self.clock.tick()
         self.shared.merge_peers_into(self.clock)
 
@@ -492,8 +419,8 @@ def sanitize(target, *, strict: bool = True):
     (default) raises a :class:`RaceError` subclass at the detection point;
     ``strict=False`` records findings on ``Sanitizer.findings`` instead.
 
-    Composes freely with ``verify`` — the two install on different hook
-    points of the same endpoint.
+    Composes freely with ``verify`` and telemetry — each is one more
+    observer on the same endpoint.
     """
     endpoint = _resolve_endpoint(target)
     shared = _race_state_for(endpoint.transport)

@@ -6,9 +6,8 @@ Activated with::
         ...   # any runtime/bindings traffic on this rank
 
 or for benchmark runs via the driver's ``--validate`` flag.  While
-active, the verifier hooks this rank's endpoint (duck-typed: the runtime
-consults ``endpoint.verifier``/``ticket.verifier`` without importing this
-module) and detects:
+active, the verifier is an observer on this rank's endpoint
+(:class:`repro.mpi.observer.Observer`) and detects:
 
 * **deadlock** — under the threads transport, every rank's blocking
   receive registers in a shared wait-for graph; a cycle of blocked ranks
@@ -38,6 +37,7 @@ import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+from ..mpi.observer import Observer
 from .findings import Finding
 
 #: Tags at or above this value belong to internal collective traffic
@@ -224,14 +224,15 @@ def _shared_state_for(transport: object) -> _SharedState:
         return state
 
 
-class Verifier:
-    """Per-rank verifier handle, installed on one endpoint.
+class Verifier(Observer):
+    """Per-rank verifier, attached to one endpoint's observers.
 
-    The runtime calls into this object through three duck-typed hook
-    points: ``Comm`` registers posted receives and collective entries,
-    ``RecvTicket.wait`` delegates its blocking wait to
-    :meth:`wait_ticket`, and the bindings layer reports byte counts of
-    completed buffer receives.
+    It tracks posted receives (``on_post``) until their request completes
+    (``on_request_done``), takes over the blocking wait (``on_wait``) to
+    watch for deadlock, checks collective entries against the cross-rank
+    ledger (``on_coll_enter``) and buffer-receive byte counts
+    (``on_recv_count``), and records peers the failure detector declares
+    dead (``on_rank_failed``).
     """
 
     def __init__(
@@ -251,18 +252,17 @@ class Verifier:
         self.poll = poll
         self.strict = strict
         self.findings: list[Finding] = []
-        self._tracked: dict[int, tuple] = {}   # id(ticket) -> (ticket, desc)
-        self._last_collective: str | None = None
+        #: id(request) -> (request, source_world, tag, context)
+        self._tracked: dict[int, tuple] = {}
         self._tag_collective: dict[int, str] = {}
 
     # -- lifecycle -------------------------------------------------------
     def attach(self) -> None:
         self.shared.register(self.rank)
-        self.endpoint.verifier = self
+        self.endpoint.attach(self)
 
     def detach(self) -> None:
-        if self.endpoint.verifier is self:
-            self.endpoint.verifier = None
+        self.endpoint.detach(self)
         self.shared.unregister(self.rank)
 
     def abort(self, exc: BaseException) -> None:
@@ -285,9 +285,10 @@ class Verifier:
     def finish(self) -> None:
         """Finalize checks: nothing may still be pending on this rank."""
         leaks = []
-        for ticket, source_world, tag, context in self._tracked.values():
-            if getattr(ticket, "cancelled", False):
-                continue
+        for request, source_world, tag, context in self._tracked.values():
+            ticket = request._ticket
+            if ticket.cancelled or ticket.error is not None:
+                continue  # done: cancelled, or failed with its error
             state = "matched but never waited/tested" if ticket.done() \
                 else "still unmatched"
             src = "ANY_SOURCE" if source_world is None else source_world
@@ -316,8 +317,8 @@ class Verifier:
         if self.strict:
             raise exc_type(message)
 
-    # -- hooks: point-to-point -------------------------------------------
-    def on_post(self, ticket, source_world: int | None, tag: int,
+    # -- events: point-to-point -----------------------------------------
+    def on_post(self, request, source_world: int | None, tag: int,
                 context: int) -> None:
         """A receive was posted on this rank (called from Comm).
 
@@ -325,25 +326,25 @@ class Verifier:
         ANY_SOURCE) — the coordinate system of the wait-for graph; the
         ticket itself only knows communicator-local ranks.
         """
-        ticket.verifier = self
-        self._tracked[id(ticket)] = (ticket, source_world, tag, context)
+        self._tracked[id(request)] = (request, source_world, tag, context)
 
-    def on_consume(self, ticket) -> None:
-        """The receive completed and its result was consumed."""
-        self._tracked.pop(id(ticket), None)
+    def on_request_done(self, request) -> None:
+        """A request completed; a tracked receive's result is consumed."""
+        self._tracked.pop(id(request), None)
 
-    def wait_ticket(self, ticket, timeout: float | None) -> None:
-        """Slice-wait on a ticket with deadlock/timeout surveillance."""
+    def on_wait(self, request, timeout: float | None) -> None:
+        """Take the wait over: slice-wait on the request's ticket with
+        deadlock/timeout surveillance; return once it is done."""
+        ticket = request._ticket
         event = ticket._event
         if event.is_set():
-            self.on_consume(ticket)
             return
-        tracked = self._tracked.get(id(ticket))
+        tracked = self._tracked.get(id(request))
         if tracked is not None:
-            _t, source, tag, context = tracked
+            _r, source, tag, context = tracked
         else:
-            # Untracked ticket (posted outside the hook path): fall back
-            # to local fields; correct for COMM_WORLD, conservative else.
+            # Posted before this verifier attached: fall back to the
+            # ticket's fields; correct for COMM_WORLD, conservative else.
             source = None if ticket.source < 0 else ticket.source
             tag, context = ticket.tag, ticket.context
         info = _WaitInfo(
@@ -363,7 +364,6 @@ class Verifier:
         try:
             while True:
                 if event.wait(self.poll):
-                    self.on_consume(ticket)
                     return
                 now = time.monotonic()
                 with self.shared.lock:
@@ -422,12 +422,12 @@ class Verifier:
             w.describe() for w in sorted(waiting, key=lambda w: w.rank)
         )
 
-    # -- hooks: collectives ----------------------------------------------
-    def on_collective(self, context: int, name: str,
-                      root: int | None = None,
-                      op: str | None = None) -> None:
-        """A collective was entered on this rank (called from Comm)."""
-        self._last_collective = name
+    # -- events: collectives --------------------------------------------
+    def on_coll_enter(self, context: int, name: str, root: int | None,
+                      op: str | None, tag: int) -> None:
+        """Check the collective against the cross-rank ledger; remember
+        its tag so a receive blocked under it names the collective."""
+        self._tag_collective[tag] = name
         entry = (name, root, op)
         with self.shared.lock:
             index = self.shared.coll_seq.get((self.rank, context), 0)
@@ -453,14 +453,9 @@ class Verifier:
                     self.shared.mismatched.setdefault(member, message)
             raise CollectiveMismatchError(message)
 
-    def on_collective_tag(self, tag: int) -> None:
-        """Map a reserved collective tag to the entered collective name."""
-        if self._last_collective is not None:
-            self._tag_collective[tag] = self._last_collective
-
-    # -- hooks: bindings layer -------------------------------------------
-    def check_recv_count(self, received: int, expected: int,
-                         source: int, tag: int) -> None:
+    # -- events: bindings layer -----------------------------------------
+    def on_recv_count(self, received: int, expected: int,
+                      source: int, tag: int) -> None:
         """A buffer receive completed; counts must match exactly."""
         if received == expected:
             return

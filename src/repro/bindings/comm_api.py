@@ -26,7 +26,7 @@ from ..mpi import ops as mpi_ops
 from ..mpi.comm import Comm as RuntimeComm
 from ..mpi.exceptions import CountError
 from ..mpi.ops import Op
-from ..mpi.request import RecvRequest, Request
+from ..mpi.request import RecvRequest, Request, completed, pin
 from ..mpi.status import Status
 from ..mpi.world import World
 from ..mpi.world import init as runtime_init
@@ -59,36 +59,33 @@ class PickleRecvFuture:
         return True, self._codec.loads(self._req.payload())
 
 
-class BufferRecvRequest:
-    """Request-like handle returned by :meth:`Comm.Irecv`."""
+def _received(endpoint, spec: BufferSpec, st: Status) -> None:
+    """A buffer receive completed: report its byte count to the observers.
 
-    def __init__(self, req: RecvRequest, spec: BufferSpec,
-                 sanitizer_pin=None) -> None:
+    Oversized messages already raise TruncationError in the matching
+    engine; this lets the verifier catch the *undersized* half — a sender
+    whose count or datatype disagrees with the posted receive buffer.
+    """
+    for hook in endpoint.hooks.on_recv_count:
+        hook(st.count_bytes, spec.nbytes, st.source, st.tag)
+
+
+class BufferRecvRequest:
+    """Request-like handle returned by :meth:`Comm.Irecv`.
+
+    The runtime request completes (releasing the buffer it was handed at
+    post time) before the payload is written back, so a user mutation of
+    the posted buffer is caught while the legitimate receive fill is not.
+    """
+
+    def __init__(self, req: RecvRequest, spec: BufferSpec, endpoint) -> None:
         self._req = req
         self._spec = spec
-        # Race-sanitizer ownership record (duck-typed); released — with a
-        # content-snapshot check — just before the payload write-back, so
-        # a user mutation of the posted buffer is caught, while the
-        # legitimate receive fill is not.
-        self._pin = sanitizer_pin
-
-    def _check_count(self, st: Status) -> None:
-        verifier = self._req._ticket.verifier
-        if verifier is not None:
-            verifier.check_recv_count(
-                st.count_bytes, self._spec.nbytes, st.source, st.tag
-            )
-
-    def _release_pin(self) -> None:
-        pin = self._pin
-        if pin is not None:
-            self._pin = None
-            pin.release()
+        self._endpoint = endpoint
 
     def Wait(self, status: Status | None = None) -> None:
         st = self._req.wait()
-        self._check_count(st)
-        self._release_pin()
+        _received(self._endpoint, self._spec, st)
         self._spec.write(self._req.payload())
         if status is not None:
             status._fill(st.source, st.tag, st.count_bytes)
@@ -99,8 +96,7 @@ class BufferRecvRequest:
         done, st = self._req.test()
         if done:
             assert st is not None
-            self._check_count(st)
-            self._release_pin()
+            _received(self._endpoint, self._spec, st)
             self._spec.write(self._req.payload())
         return done
 
@@ -171,38 +167,17 @@ class Comm:
     # ======================================================================
     # Upper-case: direct buffer methods
     # ======================================================================
-    def _sanitize_access(self, spec: BufferSpec, op: str,
-                         write: bool = False) -> None:
-        """Declare a blocking buffer access to an active race sanitizer.
-
-        Duck-typed like the verifier hooks: the sanitizer checks the
-        access against every buffer pinned by a pending non-blocking
-        operation on this rank.
-        """
-        sanitizer = self._rt.endpoint.sanitizer
-        if sanitizer is not None:
-            if write:
-                sanitizer.check_write(spec, op)
-            else:
-                sanitizer.check_read(spec, op)
+    def _access(self, spec: BufferSpec, op: str, write: bool = False) -> None:
+        """Declare that blocking call ``op`` reads (or writes) ``spec``; the
+        race sanitizer checks it against every buffer a pending
+        non-blocking operation on this rank owns."""
+        for hook in self._rt.endpoint.hooks.on_access:
+            hook(spec, op, write)
 
     def Send(self, buf: Any, dest: int, tag: int = 0) -> None:
         spec = resolve_buffer(buf)
-        self._sanitize_access(spec, "Send")
+        self._access(spec, "Send")
         self._rt.send_bytes(spec.read(), dest, tag)
-
-    def _check_recv_count(self, spec: BufferSpec, st: Status) -> None:
-        """Report byte-count mismatches to an active runtime verifier.
-
-        Oversized messages already raise TruncationError in the matching
-        engine; this catches the *undersized* half — a sender whose count
-        or datatype disagrees with the posted receive buffer.
-        """
-        verifier = self._rt.endpoint.verifier
-        if verifier is not None:
-            verifier.check_recv_count(
-                st.count_bytes, spec.nbytes, st.source, st.tag
-            )
 
     def Recv(
         self,
@@ -212,24 +187,18 @@ class Comm:
         status: Status | None = None,
     ) -> None:
         spec = resolve_buffer(buf, writable=True)
-        self._sanitize_access(spec, "Recv", write=True)
+        self._access(spec, "Recv", write=True)
         payload, st = self._rt.recv_bytes(source, tag, spec.nbytes)
-        self._check_recv_count(spec, st)
+        _received(self._rt.endpoint, spec, st)
         spec.write(payload)
         if status is not None:
             status._fill(st.source, st.tag, st.count_bytes)
 
     def Isend(self, buf: Any, dest: int, tag: int = 0) -> Request:
         spec = resolve_buffer(buf)
-        sanitizer = self._rt.endpoint.sanitizer
-        # Pin the send buffer at post time; SendRequest releases the pin
-        # (verifying the content snapshot) at wait/test.
-        pin = None
-        if sanitizer is not None:
-            pin = sanitizer.pin_spec(spec, "Isend")
+        # The buffer is the request's until wait/test completes it.
         req = self._rt.isend_bytes(spec.read(), dest, tag)
-        if pin is not None:
-            req.sanitizer_pin = pin
+        pin(self._rt.endpoint, req, spec, "Isend")
         return req
 
     def Irecv(
@@ -237,11 +206,8 @@ class Comm:
     ) -> BufferRecvRequest:
         spec = resolve_buffer(buf, writable=True)
         req = self._rt.irecv_bytes(source, tag, spec.nbytes)
-        sanitizer = self._rt.endpoint.sanitizer
-        pin = None
-        if sanitizer is not None:
-            pin = sanitizer.pin_spec(spec, "Irecv")
-        return BufferRecvRequest(req, spec, pin)
+        pin(self._rt.endpoint, req, spec, "Irecv")
+        return BufferRecvRequest(req, spec, self._rt.endpoint)
 
     def Sendrecv(
         self,
@@ -255,31 +221,28 @@ class Comm:
     ) -> None:
         sspec = resolve_buffer(sendbuf)
         rspec = resolve_buffer(recvbuf, writable=True)
-        self._sanitize_access(sspec, "Sendrecv")
-        self._sanitize_access(rspec, "Sendrecv", write=True)
+        self._access(sspec, "Sendrecv")
+        self._access(rspec, "Sendrecv", write=True)
         payload, st = self._rt.sendrecv_bytes(
             sspec.read(), dest, sendtag, source, recvtag, rspec.nbytes
         )
-        self._check_recv_count(rspec, st)
+        _received(self._rt.endpoint, rspec, st)
         rspec.write(payload)
         if status is not None:
             status._fill(st.source, st.tag, st.count_bytes)
 
     def Bcast(self, buf: Any, root: int = 0) -> None:
         spec = resolve_buffer(buf, writable=True)
-        sanitizer = self._rt.endpoint.sanitizer
-        token = None
-        if sanitizer is not None:
-            self._sanitize_access(spec, "Bcast", write=self.rank != root)
-            # Snapshot the buffer across the collective: every rank's
-            # buffer must stay untouched while the broadcast executes —
-            # the legitimate non-root fill happens after the bracket.
-            token = sanitizer.coll_begin(spec, "bcast", root)
+        endpoint = self._rt.endpoint
+        self._access(spec, "Bcast", write=self.rank != root)
+        # The broadcast owns every rank's buffer while it runs (the spec
+        # stands for the operation): it must stay untouched until the
+        # collective returns — the legitimate non-root fill comes after.
+        pin(endpoint, spec, spec, f"bcast(root={root})")
         data = self._rt.bcast_bytes(
             spec.read() if self.rank == root else None, root
         )
-        if token is not None:
-            sanitizer.coll_end(token)
+        completed(endpoint, spec)
         if self.rank != root:
             spec.write(data)
 
@@ -291,37 +254,37 @@ class Comm:
         root: int = 0,
     ) -> None:
         sspec = resolve_buffer(sendbuf)
-        self._sanitize_access(sspec, "Reduce")
+        self._access(sspec, "Reduce")
         result = self._rt.reduce_array(sspec.as_array(), op, root)
         if self.rank == root:
             rspec = resolve_buffer(recvbuf, writable=True)
-            self._sanitize_access(rspec, "Reduce", write=True)
+            self._access(rspec, "Reduce", write=True)
             rspec.write(np.ascontiguousarray(result).tobytes())
 
     def Allreduce(self, sendbuf: Any, recvbuf: Any, op: Op = SUM) -> None:
         sspec = resolve_buffer(sendbuf)
         rspec = resolve_buffer(recvbuf, writable=True)
-        self._sanitize_access(sspec, "Allreduce")
-        self._sanitize_access(rspec, "Allreduce", write=True)
+        self._access(sspec, "Allreduce")
+        self._access(rspec, "Allreduce", write=True)
         result = self._rt.allreduce_array(sspec.as_array(), op)
         rspec.write(np.ascontiguousarray(result).tobytes())
 
     def Gather(self, sendbuf: Any, recvbuf: Any = None, root: int = 0) -> None:
         sspec = resolve_buffer(sendbuf)
-        self._sanitize_access(sspec, "Gather")
+        self._access(sspec, "Gather")
         blocks = self._rt.gather_bytes(sspec.read(), root)
         if self.rank == root:
             rspec = resolve_buffer(recvbuf, writable=True)
-            self._sanitize_access(rspec, "Gather", write=True)
+            self._access(rspec, "Gather", write=True)
             self._write_blocks(rspec, blocks)
 
     def Scatter(self, sendbuf: Any = None, recvbuf: Any = None, root: int = 0) -> None:
         rspec = resolve_buffer(recvbuf, writable=True)
-        self._sanitize_access(rspec, "Scatter", write=True)
+        self._access(rspec, "Scatter", write=True)
         blocks = None
         if self.rank == root:
             sspec = resolve_buffer(sendbuf)
-            self._sanitize_access(sspec, "Scatter")
+            self._access(sspec, "Scatter")
             blocks = self._split_blocks(sspec, self.size)
         data = self._rt.scatter_bytes(blocks, root)
         rspec.write(data)
@@ -329,16 +292,16 @@ class Comm:
     def Allgather(self, sendbuf: Any, recvbuf: Any) -> None:
         sspec = resolve_buffer(sendbuf)
         rspec = resolve_buffer(recvbuf, writable=True)
-        self._sanitize_access(sspec, "Allgather")
-        self._sanitize_access(rspec, "Allgather", write=True)
+        self._access(sspec, "Allgather")
+        self._access(rspec, "Allgather", write=True)
         blocks = self._rt.allgather_bytes(sspec.read())
         self._write_blocks(rspec, blocks)
 
     def Alltoall(self, sendbuf: Any, recvbuf: Any) -> None:
         sspec = resolve_buffer(sendbuf)
         rspec = resolve_buffer(recvbuf, writable=True)
-        self._sanitize_access(sspec, "Alltoall")
-        self._sanitize_access(rspec, "Alltoall", write=True)
+        self._access(sspec, "Alltoall")
+        self._access(rspec, "Alltoall", write=True)
         blocks = self._rt.alltoall_bytes(self._split_blocks(sspec, self.size))
         self._write_blocks(rspec, blocks)
 
@@ -359,8 +322,8 @@ class Comm:
                     "(pass explicit recvcounts)"
                 )
             recvcounts = [total // self.size] * self.size
-        self._sanitize_access(sspec, "Reduce_scatter")
-        self._sanitize_access(rspec, "Reduce_scatter", write=True)
+        self._access(sspec, "Reduce_scatter")
+        self._access(rspec, "Reduce_scatter", write=True)
         result = self._rt.reduce_scatter_array(
             sspec.as_array(), recvcounts, op
         )
@@ -369,8 +332,8 @@ class Comm:
     def Scan(self, sendbuf: Any, recvbuf: Any, op: Op = SUM) -> None:
         sspec = resolve_buffer(sendbuf)
         rspec = resolve_buffer(recvbuf, writable=True)
-        self._sanitize_access(sspec, "Scan")
-        self._sanitize_access(rspec, "Scan", write=True)
+        self._access(sspec, "Scan")
+        self._access(rspec, "Scan", write=True)
         result = self._rt.scan_array(sspec.as_array(), op)
         rspec.write(np.ascontiguousarray(result).tobytes())
 

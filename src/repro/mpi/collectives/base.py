@@ -1,7 +1,7 @@
 """Shared plumbing for collective algorithms.
 
-Every collective instance reserves one internal tag via
-``comm.next_collective_tag()`` and routes all of its traffic under it;
+Every collective instance runs under the one internal tag
+``Comm._collective`` reserves for it and routes all of its traffic there;
 consecutive collectives therefore cannot cross-match even when user code
 overlaps them across sub-communicators.
 """
@@ -14,26 +14,8 @@ from ..comm import Comm
 from ..exceptions import CountError
 
 
-def ctag(comm: Comm) -> int:
-    """Reserve the internal tag for one collective instance."""
-    tag = comm.next_collective_tag()
-    verifier = comm.endpoint.verifier
-    if verifier is not None:
-        # Lets verifier diagnostics name the collective a blocked internal
-        # receive belongs to ("pending in collective 'bcast'").
-        verifier.on_collective_tag(tag)
-    sanitizer = comm.endpoint.sanitizer
-    if sanitizer is not None:
-        # Collective entry is a vector-clock synchronization point.
-        sanitizer.on_collective(tag)
-    return tag
-
-
 def csend(comm: Comm, dest: int, tag: int, payload: bytes) -> None:
     """Internal blocking send under a collective tag."""
-    tele = comm.endpoint.telemetry
-    if tele is not None:
-        tele.on_coll_message(len(payload))
     comm.send_bytes(payload, dest, tag)
 
 
@@ -52,9 +34,6 @@ def csendrecv(
     max_bytes: int,
 ) -> bytes:
     """Internal combined send/receive (deadlock-free pairwise exchange)."""
-    tele = comm.endpoint.telemetry
-    if tele is not None:
-        tele.on_coll_message(len(payload))
     got, _status = comm.sendrecv_bytes(
         payload, dest, tag, source, tag, max_bytes
     )

@@ -1,7 +1,8 @@
 """Blocking collectives: check the arguments, then drive one schedule.
 
-Every entry point validates its arguments, reserves the instance's tag
-(:func:`.base.ctag`), asks :func:`.selector.pick` which algorithm runs
+Every entry point takes the instance's internal tag (reserved by
+``Comm._collective``), validates its arguments, asks
+:func:`.selector.pick` which algorithm runs
 and drives that algorithm's schedule (:data:`.selector.ALGORITHMS`) on
 the communicator.  The byte-level API does not assume non-roots know the
 payload size, so bcast and scatter first broadcast an 8-byte length
@@ -21,7 +22,7 @@ import numpy as np
 from ..comm import Comm
 from ..exceptions import CountError, RootError
 from ..ops import Op
-from .base import check_equal_blocks, ctag
+from .base import check_equal_blocks
 from .hierarchy import hierarchical_bcast, partition
 from .schedule import (
     ANY_SIZE,
@@ -63,13 +64,13 @@ def _length(comm: Comm, tag: int, name: str, root: int, n: int | None):
     return LEN.unpack(drive(comm, tag, sched))[0]
 
 
-def barrier(comm: Comm) -> None:
+def barrier(comm: Comm, tag: int) -> None:
     """Block until all ranks of ``comm`` have entered."""
     if comm.size > 1:
-        _collective(comm, ctag(comm), "barrier", 0, ())
+        _collective(comm, tag, "barrier", 0, ())
 
 
-def bcast(comm: Comm, payload: bytes | None, root: int) -> bytes:
+def bcast(comm: Comm, tag: int, payload: bytes | None, root: int) -> bytes:
     """Broadcast ``payload`` from ``root``; every rank returns the bytes."""
     rank = comm.rank
     if rank == root and payload is None:
@@ -78,7 +79,6 @@ def bcast(comm: Comm, payload: bytes | None, root: int) -> bytes:
         return payload
     if rank != root:
         payload = None
-    tag = ctag(comm)
     nbytes = _length(
         comm, tag, "bcast", root, None if payload is None else len(payload)
     )
@@ -86,40 +86,42 @@ def bcast(comm: Comm, payload: bytes | None, root: int) -> bytes:
 
 
 def reduce(
-    comm: Comm, send: np.ndarray, op: Op, root: int
+    comm: Comm, tag: int, send: np.ndarray, op: Op, root: int
 ) -> np.ndarray | None:
     """Elementwise reduce to ``root``; non-roots return None."""
     send = np.ascontiguousarray(send)
     if comm.size == 1:
         return send.copy()
     return _collective(
-        comm, ctag(comm), "reduce", send.nbytes, (root, send, op),
+        comm, tag, "reduce", send.nbytes, (root, send, op),
         send.shape[0], op.Is_commutative(),
     )
 
 
-def allreduce(comm: Comm, send: np.ndarray, op: Op) -> np.ndarray:
+def allreduce(comm: Comm, tag: int, send: np.ndarray, op: Op) -> np.ndarray:
     """Elementwise reduce; every rank returns the full result."""
     send = np.ascontiguousarray(send)
     if comm.size == 1:
         return send.copy()
     return _collective(
-        comm, ctag(comm), "allreduce", send.nbytes, (send, op),
+        comm, tag, "allreduce", send.nbytes, (send, op),
         send.shape[0], op.Is_commutative(),
     )
 
 
-def gather(comm: Comm, payload: bytes, root: int) -> list[bytes] | None:
+def gather(
+    comm: Comm, tag: int, payload: bytes, root: int
+) -> list[bytes] | None:
     """Gather every rank's equal-size block to ``root`` (None elsewhere)."""
     if comm.size == 1:
         return [payload]
     return _collective(
-        comm, ctag(comm), "gather", len(payload), (root, payload)
+        comm, tag, "gather", len(payload), (root, payload)
     )
 
 
 def scatter(
-    comm: Comm, blocks: Sequence[bytes] | None, root: int
+    comm: Comm, tag: int, blocks: Sequence[bytes] | None, root: int
 ) -> bytes:
     """Scatter one equal-size block to each rank; returns the local block."""
     rank, size = comm.rank, comm.size
@@ -134,30 +136,30 @@ def scatter(
         if size == 1:
             raise CountError("non-root rank in a size-1 scatter")
         blocks = None
-    tag = ctag(comm)
     block = _length(comm, tag, "scatter", root, block)
     return _collective(
         comm, tag, "scatter", block, (root, blocks, [block] * size)
     )
 
 
-def allgather(comm: Comm, payload: bytes) -> list[bytes]:
+def allgather(comm: Comm, tag: int, payload: bytes) -> list[bytes]:
     """Every rank returns the ordered list of all ranks' blocks."""
     if comm.size == 1:
         return [payload]
-    return _collective(comm, ctag(comm), "allgather", len(payload), (payload,))
+    return _collective(comm, tag, "allgather", len(payload), (payload,))
 
 
-def alltoall(comm: Comm, blocks: Sequence[bytes]) -> list[bytes]:
+def alltoall(comm: Comm, tag: int, blocks: Sequence[bytes]) -> list[bytes]:
     """Exchange block ``i`` with rank ``i``; returns blocks received."""
     block = check_equal_blocks(blocks, comm.size)
     if comm.size == 1:
         return [blocks[0]]
-    return _collective(comm, ctag(comm), "alltoall", block, (blocks, block))
+    return _collective(comm, tag, "alltoall", block, (blocks, block))
 
 
 def reduce_scatter(
     comm: Comm,
+    tag: int,
     send: np.ndarray,
     counts: Sequence[int],
     op: Op,
@@ -179,21 +181,22 @@ def reduce_scatter(
     if size == 1:
         return send.copy()
     return _collective(
-        comm, ctag(comm), "reduce_scatter", send.nbytes, (send, counts, op),
+        comm, tag, "reduce_scatter", send.nbytes, (send, counts, op),
         commutative=op.Is_commutative(),
     )
 
 
-def scan(comm: Comm, send: np.ndarray, op: Op) -> np.ndarray:
+def scan(comm: Comm, tag: int, send: np.ndarray, op: Op) -> np.ndarray:
     """Return the inclusive prefix reduction over ranks 0..rank."""
     send = np.ascontiguousarray(send)
     if comm.size == 1:
         return send.copy()
-    return _collective(comm, ctag(comm), "scan", send.nbytes, (send, op))
+    return _collective(comm, tag, "scan", send.nbytes, (send, op))
 
 
 def gatherv(
     comm: Comm,
+    tag: int,
     payload: bytes,
     counts: Sequence[int] | None,
     root: int,
@@ -211,13 +214,14 @@ def gatherv(
     elif rank == root and len(counts) != size:
         raise CountError(f"gatherv needs {size} counts, got {len(counts)}")
     return drive(
-        comm, ctag(comm),
+        comm, tag,
         linear_gather(range(size), rank, root, payload, counts),
     )
 
 
 def scatterv(
     comm: Comm,
+    tag: int,
     blocks: Sequence[bytes] | None,
     root: int,
 ) -> bytes:
@@ -233,13 +237,13 @@ def scatterv(
                 f"scatterv needs {size} blocks, got {len(blocks)}"
             )
     return drive(
-        comm, ctag(comm),
+        comm, tag,
         linear_scatter(range(size), rank, root, blocks, [ANY_SIZE] * size),
     )
 
 
 def allgatherv(
-    comm: Comm, payload: bytes, counts: Sequence[int]
+    comm: Comm, tag: int, payload: bytes, counts: Sequence[int]
 ) -> list[bytes]:
     """Ring allgather of variable-size blocks; ``counts`` known everywhere."""
     rank, size = comm.rank, comm.size
@@ -253,11 +257,11 @@ def allgatherv(
     if size == 1:
         return [payload]
     return drive(
-        comm, ctag(comm), ring_allgather(range(size), rank, payload, counts)
+        comm, tag, ring_allgather(range(size), rank, payload, counts)
     )
 
 
-def alltoallv(comm: Comm, blocks: Sequence[bytes]) -> list[bytes]:
+def alltoallv(comm: Comm, tag: int, blocks: Sequence[bytes]) -> list[bytes]:
     """Pairwise personalized exchange of variable-size blocks.
 
     Peer block sizes need not be known in advance; a length header travels
@@ -269,5 +273,5 @@ def alltoallv(comm: Comm, blocks: Sequence[bytes]) -> list[bytes]:
     if size == 1:
         return [bytes(blocks[0])]
     return drive(
-        comm, ctag(comm), pairwise_alltoallv(range(size), comm.rank, blocks)
+        comm, tag, pairwise_alltoallv(range(size), comm.rank, blocks)
     )

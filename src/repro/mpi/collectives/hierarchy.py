@@ -31,7 +31,7 @@ flat algorithms themselves).  Non-commutative operations never route
 here — :func:`.selector.pick` falls back to the order-preserving flat
 algorithms first.
 
-All phases of one collective share the instance's single ``ctag``: the
+All phases of one collective share the instance's single tag: the
 phases are strictly ordered per rank pair and the transports guarantee
 per-sender FIFO, so frames cannot cross-match.
 """

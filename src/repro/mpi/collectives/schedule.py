@@ -51,6 +51,7 @@ ANY_SIZE = 1 << 62
 def drive(comm: Comm, tag: int, sched):
     """Run ``sched`` to completion on ``comm`` under ``tag``; return its
     result."""
+    hooks = comm.endpoint.hooks.on_coll_message
     result = None
     while True:
         try:
@@ -58,6 +59,9 @@ def drive(comm: Comm, tag: int, sched):
         except StopIteration as done:
             return done.value
         kind = step[0]
+        if hooks and kind in ("send", "sendrecv"):
+            for hook in hooks:
+                hook(len(step[2 if kind == "send" else 3]))
         if kind == "sendrecv":
             result = csendrecv(comm, step[3], step[1], step[2], tag, step[4])
         elif kind == "reduce":

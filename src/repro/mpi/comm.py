@@ -26,6 +26,7 @@ from .exceptions import (
 )
 from .group import Group
 from .matching import Envelope, MatchingEngine, RecvTicket
+from .observer import Hooks
 from .request import Request, RecvRequest, SendRequest
 from .status import Status
 from .transport.base import CTRL_REVOKE, Transport
@@ -39,11 +40,17 @@ _REVOKE_FRAME = struct.Struct("<q")
 
 
 class Endpoint:
-    """Per-process communication endpoint: one transport + one engine."""
+    """Per-process communication endpoint: one transport + one engine,
+    and the runtime's one interposition seam — tools :meth:`attach` to
+    ``observers`` and see the events of :mod:`repro.mpi.observer`
+    through ``hooks``."""
 
     def __init__(self, transport: Transport) -> None:
         self.transport = transport
-        self.engine = MatchingEngine()
+        self.observers: tuple = ()
+        self.hooks = Hooks()
+        self._seam_lock = threading.Lock()
+        self.engine = MatchingEngine(self)
         transport.attach(self.engine)
         # Non-liveness control frames (CTRL_REVOKE) carry communicator
         # state; the innermost transport routes them here rather than to
@@ -51,17 +58,30 @@ class Endpoint:
         transport.innermost().control_listener = self
         self.world_rank = transport.world_rank
         self.world_size = transport.world_size
-        # Optional runtime verifier (repro.analysis.verify), buffer-race
-        # sanitizer (repro.analysis.sanitize), and telemetry
-        # (repro.telemetry); duck-typed so the runtime never imports
-        # those packages.
-        self.verifier = None
-        self.sanitizer = None
-        self.telemetry = None
         # Node-group topology (repro.mpi.topology.GroupMap) when the
         # launch declared one (--groups / OMBPY_GROUPS); the collective
         # selector switches to hierarchical algorithms when present.
         self.group_map = None
+
+    def attach(self, tool) -> None:
+        """Start delivering this endpoint's events to ``tool``."""
+        with self._seam_lock:
+            self.observers = self.observers + (tool,)
+            self.hooks = Hooks(self.observers)
+
+    def detach(self, tool) -> None:
+        """Stop delivering events to ``tool`` (a no-op if not attached)."""
+        with self._seam_lock:
+            self.observers = tuple(o for o in self.observers if o is not tool)
+            self.hooks = Hooks(self.observers)
+
+    @property
+    def telemetry(self):
+        """The attached :class:`~repro.telemetry.Telemetry`, or None."""
+        from ..telemetry import Telemetry
+
+        return next((o for o in self.observers if isinstance(o, Telemetry)),
+                    None)
 
     def on_control(self, env: Envelope, payload: bytes) -> None:
         """Handle a non-liveness control frame from a peer."""
@@ -155,7 +175,7 @@ class Comm:
         """Non-blocking buffered send; returns a completed request."""
         self._check_alive()
         if dest == C.PROC_NULL:
-            return SendRequest(dest, tag, 0)
+            return SendRequest(dest, tag, 0, self._endpoint)
         if not 0 <= dest < self.size:
             raise RankError(
                 f"destination rank {dest} out of range [0, {self.size})"
@@ -166,13 +186,13 @@ class Comm:
         # complete, so don't queue more traffic toward it.
         self._endpoint.engine.check_failure()
         env = Envelope(self._context, self._rank, dest, tag, len(payload))
-        tele = self._endpoint.telemetry
-        if tele is not None:
-            tele.on_send(
-                self._endpoint.world_rank, self._world_rank(dest), env
-            )
-        self._endpoint.transport.send(self._world_rank(dest), env, payload)
-        return SendRequest(dest, tag, len(payload))
+        dst_world = self._world_rank(dest)
+        hooks = self._endpoint.hooks.on_send
+        if hooks:
+            for hook in hooks:
+                hook(self._endpoint.world_rank, dst_world, env)
+        self._endpoint.transport.send(dst_world, env, payload)
+        return SendRequest(dest, tag, len(payload), self._endpoint)
 
     def irecv_bytes(
         self, source: int, tag: int, max_bytes: int, sink=None
@@ -186,7 +206,7 @@ class Comm:
             # arriving in between.
             ticket = RecvTicket(self._context, C.ANY_SOURCE, tag, 0, -1)
             ticket.cancel()
-            return RecvRequest(ticket, sink)
+            return RecvRequest(ticket, sink, self._endpoint)
         if not C.is_valid_recv_source(source, self.size):
             raise RankError(f"receive source {source} out of range")
         if not C.is_valid_recv_tag(tag) and tag < C.INTERNAL_TAG_BASE:
@@ -203,10 +223,12 @@ class Comm:
         ticket = self._endpoint.engine.post_recv(
             self._context, source, tag, max_bytes, source_world=src_world
         )
-        verifier = self._endpoint.verifier
-        if verifier is not None:
-            verifier.on_post(ticket, src_world, tag, self._context)
-        return RecvRequest(ticket, sink)
+        req = RecvRequest(ticket, sink, self._endpoint)
+        hooks = self._endpoint.hooks.on_post
+        if hooks:
+            for hook in hooks:
+                hook(req, src_world, tag, self._context)
+        return req
 
     def recv_bytes(
         self,
@@ -217,16 +239,17 @@ class Comm:
     ) -> tuple[bytes, Status]:
         """Blocking receive; returns (payload, status)."""
         req = self.irecv_bytes(source, tag, max_bytes)
-        tele = self._endpoint.telemetry
-        if tele is None:
-            req._ticket.wait(timeout)
+        hooks = self._endpoint.hooks.on_recv_wait
+        if not hooks:
+            req.wait(timeout)
         else:
             t0 = time.time_ns()
             try:
-                req._ticket.wait(timeout)
+                req.wait(timeout)
             finally:
-                tele.on_recv_wait(t0, time.time_ns() - t0, source, tag)
-        req._finish()
+                dur = time.time_ns() - t0
+                for hook in hooks:
+                    hook(t0, dur, source, tag)
         return req.payload(), req._ticket.status
 
     def sendrecv_bytes(
@@ -255,164 +278,103 @@ class Comm:
         self._check_alive()
         return self._endpoint.engine.iprobe(self._context, source, tag)
 
-    # -- internal collective plumbing ---------------------------------------
-    def next_collective_tag(self) -> int:
-        """Reserve a fresh internal tag for one collective instance.
-
-        All ranks call collectives in the same order (an MPI requirement),
-        so the per-communicator counter yields matching tags everywhere.
-        """
-        with self._coll_lock:
-            seq = next(self._coll_seq)
-        return C.INTERNAL_TAG_BASE + (seq % (1 << 20))
-
     # -- collectives (delegate to the algorithms package) -------------------
-    def _verify_collective(self, name: str, root: int | None = None,
-                           op=None) -> None:
-        """Cross-rank call-order/root/op check when a verifier is active.
+    def _collective(self, name: str, *args, root: int | None = None,
+                    op=None):
+        """Run blocking collective ``name`` (``collectives.blocking.<name>``)
+        under a fresh internal tag, between its enter and exit events.
 
-        MPI requires all ranks to invoke collectives on a communicator in
-        the same order with consistent roots and reduce-ops; the verifier
-        ledger raises CollectiveMismatchError when they diverge.
+        MPI requires every rank to call collectives on a communicator in
+        the same order, so the per-communicator tag counter agrees across
+        ranks; observers see ``(name, root, op, tag)``.
         """
-        verifier = self._endpoint.verifier
-        if verifier is not None:
-            verifier.on_collective(
-                self._context, name, root,
-                getattr(op, "name", None) if op is not None else None,
-            )
+        from .collectives import blocking
 
-    def _run_coll(self, name: str, fn, *args):
-        """Dispatch one collective, under a telemetry span when active."""
-        tele = self._endpoint.telemetry
-        if tele is None:
-            return fn(*args)
-        return tele.run_collective(name, fn, *args)
+        if root is not None:
+            self._check_root(root)
+        with self._coll_lock:
+            tag = C.INTERNAL_TAG_BASE + next(self._coll_seq) % (1 << 20)
+        run = getattr(blocking, name)
+        hooks = self._endpoint.hooks
+        enter, leave = hooks.on_coll_enter, hooks.on_coll_exit
+        if not enter and not leave:
+            return run(self, tag, *args)
+        event = (self._context, name, root, getattr(op, "name", None), tag)
+        for hook in enter:
+            hook(*event)
+        try:
+            return run(self, tag, *args)
+        finally:
+            for hook in leave:
+                hook(*event)
 
     def barrier(self) -> None:
         """Block until all ranks have entered the barrier."""
-        from .collectives import blocking
-
-        self._verify_collective("barrier")
-        self._run_coll("barrier", blocking.barrier, self)
+        self._collective("barrier")
 
     def bcast_bytes(self, payload: bytes | None, root: int) -> bytes:
         """Broadcast raw bytes from ``root``; all ranks return the data."""
-        from .collectives import blocking
-
-        self._check_root(root)
-        self._verify_collective("bcast", root)
-        return self._run_coll("bcast", blocking.bcast, self, payload, root)
+        return self._collective("bcast", payload, root, root=root)
 
     def reduce_array(
         self, send: np.ndarray, op, root: int
     ) -> np.ndarray | None:
         """Reduce arrays elementwise to ``root``; non-roots return None."""
-        from .collectives import blocking
-
-        self._check_root(root)
-        self._verify_collective("reduce", root, op)
-        return self._run_coll("reduce", blocking.reduce, self, send, op, root)
+        return self._collective("reduce", send, op, root, root=root, op=op)
 
     def allreduce_array(self, send: np.ndarray, op) -> np.ndarray:
         """Reduce arrays elementwise; every rank returns the result."""
-        from .collectives import blocking
-
-        self._verify_collective("allreduce", op=op)
-        return self._run_coll("allreduce", blocking.allreduce, self, send, op)
+        return self._collective("allreduce", send, op, op=op)
 
     def gather_bytes(self, payload: bytes, root: int) -> list[bytes] | None:
         """Gather equal-size byte blocks to ``root``."""
-        from .collectives import blocking
-
-        self._check_root(root)
-        self._verify_collective("gather", root)
-        return self._run_coll("gather", blocking.gather, self, payload, root)
+        return self._collective("gather", payload, root, root=root)
 
     def scatter_bytes(
         self, blocks: Sequence[bytes] | None, root: int
     ) -> bytes:
         """Scatter one byte block per rank from ``root``."""
-        from .collectives import blocking
-
-        self._check_root(root)
-        self._verify_collective("scatter", root)
-        return self._run_coll("scatter", blocking.scatter, self, blocks, root)
+        return self._collective("scatter", blocks, root, root=root)
 
     def allgather_bytes(self, payload: bytes) -> list[bytes]:
         """All ranks gather every rank's equal-size block."""
-        from .collectives import blocking
-
-        self._verify_collective("allgather")
-        return self._run_coll("allgather", blocking.allgather, self, payload)
+        return self._collective("allgather", payload)
 
     def alltoall_bytes(self, blocks: Sequence[bytes]) -> list[bytes]:
         """Personalized all-to-all exchange of byte blocks."""
-        from .collectives import blocking
-
-        self._verify_collective("alltoall")
-        return self._run_coll("alltoall", blocking.alltoall, self, blocks)
+        return self._collective("alltoall", blocks)
 
     def reduce_scatter_array(
         self, send: np.ndarray, counts: Sequence[int], op
     ) -> np.ndarray:
         """Reduce then scatter segments of ``counts`` elements per rank."""
-        from .collectives import blocking
-
-        self._verify_collective("reduce_scatter", op=op)
-        return self._run_coll(
-            "reduce_scatter", blocking.reduce_scatter,
-            self, send, counts, op,
-        )
+        return self._collective("reduce_scatter", send, counts, op, op=op)
 
     def scan_array(self, send: np.ndarray, op) -> np.ndarray:
         """Inclusive prefix reduction over ranks."""
-        from .collectives import blocking
-
-        self._verify_collective("scan", op=op)
-        return self._run_coll("scan", blocking.scan, self, send, op)
+        return self._collective("scan", send, op, op=op)
 
     def gatherv_bytes(
         self, payload: bytes, counts: Sequence[int] | None, root: int
     ) -> list[bytes] | None:
         """Gather variable-size byte blocks to ``root``."""
-        from .collectives import blocking
-
-        self._check_root(root)
-        self._verify_collective("gatherv", root)
-        return self._run_coll(
-            "gatherv", blocking.gatherv, self, payload, counts, root
-        )
+        return self._collective("gatherv", payload, counts, root, root=root)
 
     def scatterv_bytes(
         self, blocks: Sequence[bytes] | None, root: int
     ) -> bytes:
         """Scatter variable-size byte blocks from ``root``."""
-        from .collectives import blocking
-
-        self._check_root(root)
-        self._verify_collective("scatterv", root)
-        return self._run_coll(
-            "scatterv", blocking.scatterv, self, blocks, root
-        )
+        return self._collective("scatterv", blocks, root, root=root)
 
     def allgatherv_bytes(
         self, payload: bytes, counts: Sequence[int]
     ) -> list[bytes]:
         """All-gather of variable-size byte blocks."""
-        from .collectives import blocking
-
-        self._verify_collective("allgatherv")
-        return self._run_coll(
-            "allgatherv", blocking.allgatherv, self, payload, counts
-        )
+        return self._collective("allgatherv", payload, counts)
 
     def alltoallv_bytes(self, blocks: Sequence[bytes]) -> list[bytes]:
         """Personalized all-to-all of variable-size byte blocks."""
-        from .collectives import blocking
-
-        self._verify_collective("alltoallv")
-        return self._run_coll("alltoallv", blocking.alltoallv, self, blocks)
+        return self._collective("alltoallv", blocks)
 
     def _check_root(self, root: int) -> None:
         if not 0 <= root < self.size:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from .constants import ANY_SOURCE, ANY_TAG
 from .exceptions import CommRevokedError, TruncationError
+from .observer import UNOBSERVED
 from .status import Status
 
 
@@ -48,7 +49,7 @@ class RecvTicket:
 
     __slots__ = (
         "context", "source", "tag", "max_bytes", "order",
-        "_event", "payload", "status", "error", "cancelled", "verifier",
+        "_event", "payload", "status", "error", "cancelled",
     )
 
     def __init__(
@@ -64,9 +65,6 @@ class RecvTicket:
         self.status = Status()
         self.error: Exception | None = None
         self.cancelled = False
-        # Optional runtime-verifier handle (repro.analysis), stamped by
-        # Comm.irecv_bytes while a `verify` region is active.
-        self.verifier = None
 
     def matches(self, env: Envelope) -> bool:
         """Return True if ``env`` satisfies this receive's pattern."""
@@ -115,10 +113,7 @@ class RecvTicket:
 
         Raises the recorded error (e.g. truncation) if one occurred.
         """
-        if self.verifier is not None:
-            # Surveillance wait: deadlock/timeout detection while blocked.
-            self.verifier.wait_ticket(self, timeout)
-        elif not self._event.wait(timeout):
+        if not self._event.wait(timeout):
             raise TimeoutError(
                 f"receive (source={self.source}, tag={self.tag}) timed out "
                 f"after {timeout}s"
@@ -134,7 +129,9 @@ class RecvTicket:
 class MatchingEngine:
     """Per-rank matching state: posted receives + unexpected messages."""
 
-    def __init__(self) -> None:
+    def __init__(self, endpoint=None) -> None:
+        # Whose observers see this engine's events (standalone: nobody's).
+        self._seam = endpoint if endpoint is not None else UNOBSERVED
         self._lock = threading.Lock()
         self._posted: list[RecvTicket] = []
         self._unexpected: list[_Unexpected] = []
@@ -152,9 +149,6 @@ class MatchingEngine:
         # Revoked communicator contexts: permanently dead — posted
         # receives fail, queued and future messages are discarded.
         self._revoked: set[int] = set()
-        # Optional telemetry hooks (repro.telemetry); duck-typed so the
-        # engine never imports the telemetry package.
-        self.telemetry = None
 
     # -- receiver side ---------------------------------------------------
     def post_recv(
@@ -181,8 +175,10 @@ class MatchingEngine:
                 if ticket.matches(um.envelope):
                     del self._unexpected[i]
                     ticket.complete(um.envelope, um.payload)
-                    if self.telemetry is not None:
-                        self.telemetry.on_matched_from_queue(um.envelope)
+                    hooks = self._seam.hooks.on_match_queued
+                    if hooks:
+                        for hook in hooks:
+                            hook(um.envelope)
                     return ticket
             if self._failure is not None:
                 ticket.fail(self._failure)
@@ -201,8 +197,6 @@ class MatchingEngine:
             except ValueError:
                 return False
             ticket.cancel()
-            if ticket.verifier is not None:
-                ticket.verifier.on_consume(ticket)
             return True
 
     # -- transport side --------------------------------------------------
@@ -217,20 +211,18 @@ class MatchingEngine:
                 if ticket.matches(env):
                     del self._posted[i]
                     ticket.complete(env, payload)
-                    if self.telemetry is not None:
-                        self.telemetry.on_delivered(
-                            env, matched=True,
-                            queue_depth=len(self._unexpected),
-                        )
-                    self._delivered.notify_all()
-                    return
-            self._unexpected.append(
-                _Unexpected(env, payload, next(self._order))
-            )
-            if self.telemetry is not None:
-                self.telemetry.on_delivered(
-                    env, matched=False, queue_depth=len(self._unexpected)
+                    matched = True
+                    break
+            else:
+                self._unexpected.append(
+                    _Unexpected(env, payload, next(self._order))
                 )
+                matched = False
+            hooks = self._seam.hooks.on_deliver
+            if hooks:
+                depth = len(self._unexpected)
+                for hook in hooks:
+                    hook(env, matched, depth)
             self._delivered.notify_all()
 
     # -- failure propagation ----------------------------------------------
@@ -252,11 +244,6 @@ class MatchingEngine:
             posted, self._posted = self._posted, []
             for ticket in posted:
                 ticket.fail(error)
-                if ticket.verifier is not None:
-                    # The error is delivered into the ticket; without
-                    # this the verifier would flag every failed receive
-                    # as a leaked request at finalize.
-                    ticket.verifier.on_consume(ticket)
             self._delivered.notify_all()
 
     def acknowledge_failure(self) -> Exception | None:
@@ -313,8 +300,6 @@ class MatchingEngine:
                     keep.append(ticket)
                     continue
                 ticket.fail(error)
-                if ticket.verifier is not None:
-                    ticket.verifier.on_consume(ticket)
             self._posted = keep
             self._unexpected = [
                 um for um in self._unexpected

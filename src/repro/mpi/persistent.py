@@ -13,17 +13,24 @@ from typing import Any
 
 from .comm import Comm
 from .exceptions import RequestError
-from .request import RecvRequest, Request, SendRequest
+from .request import Request, pin
 
 
 class PersistentRequest:
-    """Base: a re-startable communication operation."""
+    """Base: a re-startable communication operation.
 
-    def __init__(self) -> None:
+    Each started instance hands the buffer to its runtime request
+    (:func:`~repro.mpi.request.pin`), so an attached race sanitizer
+    checks it until that request completes.
+    """
+
+    #: The MPI call that created the request, as observers see it.
+    _op = ""
+
+    def __init__(self, comm: Comm, buf: Any) -> None:
+        self._comm = comm
+        self._view = memoryview(buf).cast("B")
         self._active: Request | None = None
-        # Race-sanitizer ownership record for the started instance
-        # (duck-typed; None when no sanitizer is attached to the endpoint).
-        self._pin = None
 
     def Start(self) -> None:
         """Begin one instance of the operation."""
@@ -31,45 +38,31 @@ class PersistentRequest:
             raise RequestError(
                 "Start() while the previous instance is still active"
             )
-        self._pin = self._pin_buffer()
         self._active = self._launch()
+        pin(self._comm.endpoint, self._active, self._view, self._op)
 
     def _launch(self) -> Request:
         raise NotImplementedError
-
-    def _pin_buffer(self):
-        """Pin the operation's buffer for the started instance."""
-        return None
-
-    def _release_pin(self) -> None:
-        pin = self._pin
-        if pin is not None:
-            self._pin = None
-            pin.release()
 
     def Wait(self) -> None:
         """Complete the active instance."""
         if self._active is None:
             raise RequestError("Wait() before Start()")
         self._active.wait()
-        self._release_pin()
 
     def Test(self) -> bool:
         if self._active is None:
             raise RequestError("Test() before Start()")
-        done, _ = self._active.test()
-        if done:
-            self._release_pin()
-        return done
+        return self._active.test()[0]
 
 
 class PersistentSend(PersistentRequest):
     """Created by :func:`send_init`; snapshots the buffer at Start()."""
 
+    _op = "Send_init"
+
     def __init__(self, comm: Comm, buf: Any, dest: int, tag: int) -> None:
-        super().__init__()
-        self._comm = comm
-        self._view = memoryview(buf).cast("B")
+        super().__init__(comm, buf)
         self._dest = dest
         self._tag = tag
 
@@ -78,23 +71,14 @@ class PersistentSend(PersistentRequest):
             bytes(self._view), self._dest, self._tag
         )
 
-    def _pin_buffer(self):
-        sanitizer = self._comm.endpoint.sanitizer
-        if sanitizer is None:
-            return None
-        # Send side: the snapshot must be intact at Wait/Test.
-        return sanitizer.pin_view(
-            self._view, "Send_init", writes=False, verify=True
-        )
-
 
 class PersistentRecv(PersistentRequest):
     """Created by :func:`recv_init`; fills the buffer at Wait()."""
 
+    _op = "Recv_init"
+
     def __init__(self, comm: Comm, buf: Any, source: int, tag: int) -> None:
-        super().__init__()
-        self._comm = comm
-        self._view = memoryview(buf).cast("B")
+        super().__init__(comm, buf)
         if self._view.readonly:
             raise RequestError("persistent receive buffer must be writable")
         self._source = source
@@ -103,17 +87,6 @@ class PersistentRecv(PersistentRequest):
     def _launch(self) -> Request:
         return self._comm.irecv_bytes(
             self._source, self._tag, self._view.nbytes, sink=self._view
-        )
-
-    def _pin_buffer(self):
-        sanitizer = self._comm.endpoint.sanitizer
-        if sanitizer is None:
-            return None
-        # Receive side: the runtime legitimately fills the sink view at
-        # completion, so the pin cannot verify a content snapshot; it
-        # still participates in overlap checks and blocking-access checks.
-        return sanitizer.pin_view(
-            self._view, "Recv_init", writes=True, verify=False
         )
 
 
@@ -138,6 +111,3 @@ def waitall_persistent(requests: list[PersistentRequest]) -> None:
     for r in requests:
         r.Wait()
 
-
-# Silence linter: SendRequest/RecvRequest are the concrete launch types.
-_ = (SendRequest, RecvRequest)

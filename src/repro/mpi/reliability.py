@@ -181,11 +181,11 @@ class ReliableTransport(Transport):
     def bind_telemetry(self, tele) -> None:
         """Mirror protocol counters into a telemetry metrics registry.
 
-        Called by :func:`repro.telemetry.runtime.install_on_endpoint`
-        while walking the transport stack; pass None to unbind.  The
-        plain ``stats()`` snapshot keeps working either way.
+        Called by :meth:`repro.telemetry.Telemetry.attach` while walking
+        the transport stack.  The plain ``stats()`` snapshot keeps
+        working either way.
         """
-        if tele is None or tele.metrics is None:
+        if tele.metrics is None:
             self._tele_counters = None
             return
         self._tele_counters = {

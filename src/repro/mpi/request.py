@@ -11,6 +11,7 @@ from typing import Sequence
 
 from .exceptions import RequestError
 from .matching import RecvTicket
+from .observer import UNOBSERVED
 from .status import Status
 
 
@@ -38,30 +39,25 @@ class SendRequest(Request):
     """Handle for a buffered (eager) send — complete at creation.
 
     The wire-level send completes eagerly, but *MPI* semantics only hand
-    the buffer back to the user at wait/test — which is where an attached
-    race-sanitizer pin (``sanitizer_pin``, duck-typed, set by the bindings
-    layer) is released and the buffer snapshot verified.
+    the buffer back to the user at wait/test — which is where the
+    request's completion event fires (the race sanitizer verifies the
+    buffer it pinned there).
     """
 
-    __slots__ = ("_status", "sanitizer_pin")
+    __slots__ = ("_status", "_endpoint")
 
-    def __init__(self, dest: int, tag: int, nbytes: int) -> None:
+    def __init__(self, dest: int, tag: int, nbytes: int,
+                 endpoint=UNOBSERVED) -> None:
         self._status = Status()
         self._status._fill(dest, tag, nbytes)
-        self.sanitizer_pin = None
-
-    def _release_pin(self) -> None:
-        pin = self.sanitizer_pin
-        if pin is not None:
-            self.sanitizer_pin = None
-            pin.release()
+        self._endpoint = endpoint
 
     def test(self) -> tuple[bool, Status]:
-        self._release_pin()
-        return True, self._status
+        return True, self.wait()
 
     def wait(self, timeout: float | None = None) -> Status:
-        self._release_pin()
+        if self._endpoint.hooks.on_request_done:
+            completed(self._endpoint, self)
         return self._status
 
     def done(self) -> bool:
@@ -75,14 +71,16 @@ class RecvRequest(Request):
     registered) copies the payload into it.
     """
 
-    __slots__ = ("_ticket", "_sink", "_payload", "_waited")
+    __slots__ = ("_ticket", "_sink", "_payload", "_waited", "_endpoint")
 
-    def __init__(self, ticket: RecvTicket, sink=None) -> None:
+    def __init__(self, ticket: RecvTicket, sink=None,
+                 endpoint=UNOBSERVED) -> None:
         self._ticket = ticket
         # Optional writable buffer (memoryview-able) to copy the payload into.
         self._sink = sink
         self._payload: bytes | None = None
         self._waited = False
+        self._endpoint = endpoint
 
     def test(self) -> tuple[bool, Status | None]:
         if self._ticket.done():
@@ -91,6 +89,10 @@ class RecvRequest(Request):
         return False, None
 
     def wait(self, timeout: float | None = None) -> Status:
+        hooks = self._endpoint.hooks.on_wait
+        if hooks:
+            for hook in hooks:
+                hook(self, timeout)
         self._ticket.wait(timeout)
         self._finish()
         return self._ticket.status
@@ -110,15 +112,29 @@ class RecvRequest(Request):
         if self._waited:
             return
         self._payload = self._ticket.payload or b""
+        # The completion event fires before the payload reaches the sink,
+        # so a buffer the sanitizer pinned is verified before the fill.
+        if self._endpoint.hooks.on_request_done:
+            completed(self._endpoint, self)
         if self._sink is not None and self._payload:
             view = memoryview(self._sink).cast("B")
             n = len(self._payload)
             view[:n] = self._payload
         self._waited = True
-        # Tell an active verifier the request was completed (not leaked);
-        # covers the test()/payload() paths that bypass RecvTicket.wait.
-        if self._ticket.verifier is not None:
-            self._ticket.verifier.on_consume(self._ticket)
+
+
+def pin(endpoint, request, buf, op: str) -> None:
+    """Tell ``endpoint``'s observers that call ``op`` handed ``buf`` to
+    ``request`` (the object standing for the operation) until
+    :func:`completed`."""
+    for hook in endpoint.hooks.on_pin:
+        hook(request, buf, op)
+
+
+def completed(endpoint, request) -> None:
+    """Tell ``endpoint``'s observers that ``request`` completed."""
+    for hook in endpoint.hooks.on_request_done:
+        hook(request)
 
 
 def waitall(requests: Sequence[Request]) -> list[Status]:

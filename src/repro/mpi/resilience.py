@@ -26,8 +26,8 @@ On detection the peer's death is converted into a
 carrying this rank's matching-engine wait-state) which is installed as
 the endpoint's sticky failure: every blocked receive, collective, and
 probe wakes and raises promptly instead of hanging until the launcher's
-global timeout.  An active runtime verifier (``repro.analysis``) is
-notified so its cross-rank diagnostics name the dead peer too.
+global timeout.  The endpoint's observers see ``on_rank_failed`` first,
+so an attached verifier's cross-rank diagnostics name the dead peer too.
 
 Tuning knobs: ``OMBPY_HB_INTERVAL``, ``OMBPY_HB_TIMEOUT`` and
 ``OMBPY_HB_DISABLE`` (rows of :mod:`repro.knobs`; ``docs/resilience.md``
@@ -136,12 +136,12 @@ class FailureDetector:
             rank=peer,
             wait_state=self.engine.describe_pending(),
         )
-        # Tell an active runtime verifier first, so its cross-rank
+        # Tell the observers first, so an attached verifier's cross-rank
         # diagnostics (PeerFailedError, deadlock snapshots) name the dead
         # rank rather than reporting a bare timeout.
-        verifier = getattr(self.endpoint, "verifier", None)
-        if verifier is not None and hasattr(verifier, "on_rank_failed"):
-            verifier.on_rank_failed(peer, reason)
+        if self.endpoint is not None:
+            for hook in self.endpoint.hooks.on_rank_failed:
+                hook(peer, reason)
         self.engine.set_failure(error)
 
     def _loop(self) -> None:

@@ -1,10 +1,10 @@
 """Communication tracing — a PMPI-style profiling layer.
 
-A thin structural-trace shim over :mod:`repro.telemetry`: a
-:class:`TraceLog` subscribes to the per-rank telemetry message stream
-and records every **send**, **recv** (arrival at the receiver's
-matching engine), and **complete** (a receive matched against the
-unexpected queue) as a :class:`TraceEvent`.  Used two ways:
+A :class:`TraceLog` is a plain observer on the endpoint's seam
+(:class:`repro.mpi.observer.Observer`): it records every **send**, every
+**recv** (arrival at the receiver's matching engine) and every
+**complete** (a receive matched, on arrival or against the unexpected
+queue) as a :class:`TraceEvent`.  Used two ways:
 
 * as a debugging/profiling tool (``with traced(comm) as log:`` in user
   code) — for full span traces and job-level Chrome output use
@@ -15,10 +15,9 @@ unexpected queue) as a :class:`TraceEvent`.  Used two ways:
   of whether the numerical results happen to be right.
 
 Event coordinates: ``send`` events carry world ranks on both ends;
-``recv``/``complete`` events carry the sender's communicator-local rank
-in ``src_world`` (identical to the world rank on COMM_WORLD, which is
-what the structural tests trace) and the receiving endpoint's world
-rank in ``dst_world``.  Queries filter to ``kind="send"`` by default,
+``recv``/``complete`` events carry the envelope's communicator-local
+ranks (identical to world ranks on COMM_WORLD, which is what the
+structural tests trace).  Queries filter to ``kind="send"`` by default,
 so message-count assertions keep their historical meaning.
 """
 
@@ -29,8 +28,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from ..telemetry import Telemetry, install_on_endpoint, uninstall_from_endpoint
 from .comm import Comm
+from .observer import Observer
 
 
 @dataclass(frozen=True)
@@ -47,25 +46,32 @@ class TraceEvent:
 
 
 @dataclass
-class TraceLog:
-    """Thread-safe event collection with query helpers."""
+class TraceLog(Observer):
+    """Thread-safe event collection with query helpers; one log may
+    observe several endpoints."""
 
     events: list[TraceEvent] = field(default_factory=list)
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
-    def record(self, event: TraceEvent) -> None:
+    def _add(self, kind: str, src: int, dst: int, env) -> None:
+        event = TraceEvent(
+            src_world=src, dst_world=dst, context=env.context, tag=env.tag,
+            nbytes=env.nbytes, t_ns=time.perf_counter_ns(), kind=kind,
+        )
         with self._lock:
             self.events.append(event)
 
-    def on_message(
-        self, kind: str, src: int, dst: int, context: int, tag: int,
-        nbytes: int,
-    ) -> None:
-        """Telemetry message-sink entry point (see ``add_message_sink``)."""
-        self.record(TraceEvent(
-            src_world=src, dst_world=dst, context=context, tag=tag,
-            nbytes=nbytes, t_ns=time.perf_counter_ns(), kind=kind,
-        ))
+    # -- events ---------------------------------------------------------
+    def on_send(self, src_world: int, dst_world: int, env) -> None:
+        self._add("send", src_world, dst_world, env)
+
+    def on_deliver(self, env, matched: bool, queue_depth: int) -> None:
+        self._add("recv", env.source, env.dest, env)
+        if matched:
+            self._add("complete", env.source, env.dest, env)
+
+    def on_match_queued(self, env) -> None:
+        self._add("complete", env.source, env.dest, env)
 
     def snapshot(self, kind: str | None = "send") -> list[TraceEvent]:
         """Consistent copy of the events recorded so far.
@@ -107,9 +113,6 @@ class TraceLog:
             out[key] = out.get(key, 0) + 1
         return out
 
-    def senders(self, kind: str | None = "send") -> set[int]:
-        return {e.src_world for e in self.snapshot(kind)}
-
     def receives(self) -> list[TraceEvent]:
         """Arrival events (one per message reaching the matching engine)."""
         return self.snapshot("recv")
@@ -127,30 +130,17 @@ class TraceLog:
 def traced(comm: Comm, log: TraceLog | None = None):
     """Trace all message traffic on this rank's endpoint.
 
-    Yields a :class:`TraceLog` subscribed to the endpoint's telemetry
-    message stream.  When the endpoint has no telemetry installed (the
-    common case — no ``--metrics``/``--trace-out``), a minimal
-    sink-only :class:`~repro.telemetry.Telemetry` is installed for the
-    duration and removed on exit; an already-active telemetry is reused
-    and left untouched.  All communicators sharing the endpoint are
-    traced.
+    Yields ``log`` (a fresh :class:`TraceLog` by default) attached to the
+    endpoint's observers for the duration.  All communicators sharing the
+    endpoint are traced.
     """
-    endpoint = comm.endpoint
     if log is None:
         log = TraceLog()
-    tele = endpoint.telemetry
-    installed = None
-    if tele is None:
-        installed = Telemetry(endpoint.world_rank, metrics=False, trace=False)
-        install_on_endpoint(endpoint, installed)
-        tele = installed
-    tele.add_message_sink(log.on_message)
+    comm.endpoint.attach(log)
     try:
         yield log
     finally:
-        tele.remove_message_sink(log.on_message)
-        if installed is not None:
-            uninstall_from_endpoint(endpoint)
+        comm.endpoint.detach(log)
 
 
 def run_traced(n: int, fn, timeout: float = 60.0) -> TraceLog:

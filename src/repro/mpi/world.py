@@ -30,7 +30,6 @@ from ..knobs import (
     ENV_COORD, ENV_FAULT_LOG, ENV_FAULT_SEED, ENV_FAULTS, ENV_JOB, ENV_RANK,
     ENV_SIZE, ENV_TELEMETRY_OUT, ENV_TRANSPORT, RELIABLE, flag,
 )
-from ..telemetry import install_on_endpoint, telemetry_from_env
 from . import constants as C
 from .comm import Comm, Endpoint
 from .exceptions import InternalError
@@ -89,9 +88,12 @@ def build_endpoint(
         transport = ReliableTransport(transport)
     endpoint = Endpoint(transport)
     endpoint.group_map = group_map
+    # Imported here: the telemetry package builds on this one.
+    from ..telemetry import telemetry_from_env
+
     tele = telemetry_from_env(wire.world_rank)
     if tele is not None:
-        install_on_endpoint(endpoint, tele)
+        tele.attach(endpoint)
     return endpoint
 
 

@@ -8,13 +8,13 @@ matching, collectives, reliability, ULFM recovery) report into:
 * :mod:`repro.telemetry.tracer` — span + message-event tracer exporting
   Chrome ``chrome://tracing`` JSON (one pid per rank) and compact JSONL;
 * :mod:`repro.telemetry.runtime` — the per-rank :class:`Telemetry`
-  facade the runtime hooks call, plus endpoint install/uninstall and the
+  observer (``tele.attach(endpoint)``) and the
   ``OMBPY_METRICS``/``OMBPY_TRACE`` switches (:mod:`repro.knobs`);
 * :mod:`repro.telemetry.export` — whole-job assembly: control-plane
   gather to rank 0, launcher-side per-rank dump merge, ``metrics.json``
   / ``trace.json`` writers, and the end-of-job summary table.
 
-Everything is off (and free, beyond a ``None`` check per hook site)
+Everything is off (and free, beyond a truthiness test per event site)
 until ``ombpy --metrics/--trace-out`` or ``ombpy-run --metrics/--trace-out``
 switches it on.  See ``docs/observability.md``.
 """
@@ -23,10 +23,7 @@ from .metrics import (
     Counter, Gauge, Histogram, MetricsRegistry, merge_snapshots,
     snapshot_from_bytes, snapshot_to_bytes,
 )
-from .runtime import (
-    SCHEMA, Telemetry, install_on_endpoint, telemetry_from_env,
-    uninstall_from_endpoint,
-)
+from .runtime import SCHEMA, Telemetry, telemetry_from_env
 from .tracer import Tracer
 
 __all__ = [
@@ -37,10 +34,8 @@ __all__ = [
     "SCHEMA",
     "Telemetry",
     "Tracer",
-    "install_on_endpoint",
     "merge_snapshots",
     "snapshot_from_bytes",
     "snapshot_to_bytes",
     "telemetry_from_env",
-    "uninstall_from_endpoint",
 ]

@@ -1,28 +1,25 @@
-"""Per-rank telemetry object and endpoint wiring.
+"""Per-rank telemetry: an observer on the endpoint's seam.
 
 One :class:`Telemetry` instance per rank bundles the metrics registry
-and the span tracer and exposes the narrow hook methods the runtime
-layers call:
+and the span tracer.  :meth:`Telemetry.attach` puts it on an endpoint's
+observers (:class:`repro.mpi.observer.Observer`), where it counts and
+traces these events:
 
-* ``Comm.isend_bytes``            -> :meth:`Telemetry.on_send`
-* ``Comm.recv_bytes``             -> :meth:`Telemetry.on_recv_wait`
-* ``Comm.<collective>``           -> :meth:`Telemetry.run_collective`
-* ``MatchingEngine.deliver``      -> :meth:`Telemetry.on_delivered`
-* ``MatchingEngine.post_recv``    -> :meth:`Telemetry.on_matched_from_queue`
-* collective internals (csend)    -> :meth:`Telemetry.on_coll_message`
-* ``Benchmark._sweep``            -> :meth:`Telemetry.phase`
-* ``ReliableTransport._count``    -> mirrored counters via
-  ``bind_telemetry`` (see :mod:`repro.mpi.reliability`)
+* ``on_send``, ``on_deliver``, ``on_match_queued`` — message counters,
+  matching hit/queue counters and send/recv/complete trace instants;
+* ``on_recv_wait``                 — the blocking-receive histogram/span;
+* ``on_coll_enter``/``on_coll_exit`` — a span + latency histogram per
+  collective call;
+* ``on_coll_message``              — collective-internal message counters.
 
-Every hook site guards with ``if endpoint.telemetry is not None`` — the
-disabled cost is one attribute load and one identity test, which is why
-no global kill-switch or sampling layer exists.  The hot counters are
+``Benchmark._sweep`` opens :meth:`Telemetry.phase` spans itself, and the
+reliability layer mirrors its counters into the registry through
+``bind_telemetry`` (see :mod:`repro.mpi.reliability`), bound at attach.
+
+With no tool attached an event site costs one truthiness test, which is
+why no global kill-switch or sampling layer exists.  The hot counters are
 resolved once at construction so an instrumented send is one lock and
 one integer add.
-
-Message *sinks* are lightweight subscribers to the send/recv/complete
-event stream; :mod:`repro.mpi.trace` uses one to keep its ``TraceLog``
-API alive on top of this layer.
 """
 
 from __future__ import annotations
@@ -31,14 +28,15 @@ import time
 from contextlib import contextmanager
 
 from ..knobs import METRICS, TRACE, TRACE_MAX_EVENTS, flag, read
+from ..mpi.observer import Observer
 from .metrics import MetricsRegistry
 from .tracer import Tracer
 
 SCHEMA = "ombpy-telemetry/1"
 
 
-class Telemetry:
-    """Per-rank metrics + tracing facade the runtime hooks call into."""
+class Telemetry(Observer):
+    """Per-rank metrics + tracing, fed by the endpoint's events."""
 
     def __init__(
         self,
@@ -59,9 +57,8 @@ class Telemetry:
             self.tracer: Tracer | None = Tracer(rank, max_events=cap)
         else:
             self.tracer = None
-        # Message sinks (e.g. repro.mpi.trace.TraceLog): called with
-        # (kind, src, dst, context, tag, nbytes).
-        self._sinks: list = []
+        # Start time of each running collective, by (context, tag).
+        self._coll_t0: dict[tuple[int, int], int] = {}
         # Pre-resolved hot-path instruments.
         m = self.metrics
         self._c_sent = m.counter("comm.msgs_sent") if m else None
@@ -81,22 +78,18 @@ class Telemetry:
         self._h_recv_wait = m.histogram("p2p.recv_wait_us") if m else None
         self._h_coll = m.histogram("coll.us") if m else None
 
-    # -- sinks -----------------------------------------------------------
-    def add_message_sink(self, sink) -> None:
-        """Subscribe ``sink(kind, src, dst, context, tag, nbytes)``."""
-        self._sinks = self._sinks + [sink]
+    def attach(self, endpoint) -> None:
+        """Observe ``endpoint``, and bind every transport decorator in its
+        stack that mirrors counters (the reliability layer)."""
+        endpoint.attach(self)
+        t = endpoint.transport
+        while t is not None:
+            bind = getattr(t, "bind_telemetry", None)
+            if bind is not None:
+                bind(self)
+            t = getattr(t, "inner", None)
 
-    def remove_message_sink(self, sink) -> None:
-        self._sinks = [s for s in self._sinks if s is not sink]
-
-    def _emit(
-        self, kind: str, src: int, dst: int, context: int, tag: int,
-        nbytes: int,
-    ) -> None:
-        for sink in self._sinks:
-            sink(kind, src, dst, context, tag, nbytes)
-
-    # -- point-to-point hooks -------------------------------------------
+    # -- point-to-point events ------------------------------------------
     def on_send(self, src_world: int, dst_world: int, env) -> None:
         """One outgoing message left this rank at the communicator level."""
         if self._c_sent is not None:
@@ -106,12 +99,8 @@ class Telemetry:
             self.tracer.message(
                 "send", src_world, dst_world, env.context, env.tag, env.nbytes
             )
-        if self._sinks:
-            self._emit(
-                "send", src_world, dst_world, env.context, env.tag, env.nbytes
-            )
 
-    def on_delivered(self, env, matched: bool, queue_depth: int) -> None:
+    def on_deliver(self, env, matched: bool, queue_depth: int) -> None:
         """One message arrived at this rank's matching engine.
 
         ``env.source`` is the sender's *communicator-local* rank (on
@@ -131,27 +120,13 @@ class Telemetry:
             self.tracer.message(
                 "recv", env.source, self.rank, env.context, env.tag, env.nbytes
             )
-        if self._sinks:
-            self._emit(
-                "recv", env.source, self.rank, env.context, env.tag, env.nbytes
-            )
-            if matched:
-                self._emit(
-                    "complete", env.source, self.rank, env.context, env.tag,
-                    env.nbytes,
-                )
 
-    def on_matched_from_queue(self, env) -> None:
+    def on_match_queued(self, env) -> None:
         """A newly posted receive completed against a queued message."""
         if self._c_unexpected_hits is not None:
             self._c_unexpected_hits.inc()
         if self.tracer is not None:
             self.tracer.message(
-                "complete", env.source, self.rank, env.context, env.tag,
-                env.nbytes,
-            )
-        if self._sinks:
-            self._emit(
                 "complete", env.source, self.rank, env.context, env.tag,
                 env.nbytes,
             )
@@ -168,19 +143,19 @@ class Telemetry:
                 {"source": source, "tag": tag},
             )
 
-    # -- collective hooks ------------------------------------------------
-    def run_collective(self, name: str, fn, *args):
-        """Run one collective under a span + latency histogram."""
-        t0 = time.time_ns()
-        try:
-            return fn(*args)
-        finally:
-            dur = time.time_ns() - t0
-            if self.metrics is not None:
-                self.metrics.counter("coll.calls." + name).inc()
-                self._h_coll.observe(dur / 1000.0)
-            if self.tracer is not None:
-                self.tracer.complete("coll." + name, "collective", t0, dur)
+    # -- collective events -----------------------------------------------
+    def on_coll_enter(self, context, name, root, op, tag) -> None:
+        self._coll_t0[(context, tag)] = time.time_ns()
+
+    def on_coll_exit(self, context, name, root, op, tag) -> None:
+        """One collective call ends: a span + latency histogram."""
+        t0 = self._coll_t0.pop((context, tag))
+        dur = time.time_ns() - t0
+        if self.metrics is not None:
+            self.metrics.counter("coll.calls." + name).inc()
+            self._h_coll.observe(dur / 1000.0)
+        if self.tracer is not None:
+            self.tracer.complete("coll." + name, "collective", t0, dur)
 
     def on_coll_message(self, nbytes: int) -> None:
         """One collective-internal message was sent (subset of on_send)."""
@@ -234,30 +209,3 @@ def telemetry_from_env(rank: int) -> Telemetry | None:
     if not trace and not flag(METRICS):
         return None
     return Telemetry(rank, metrics=True, trace=trace)
-
-
-def install_on_endpoint(endpoint, tele: Telemetry) -> Telemetry:
-    """Attach ``tele`` to an endpoint: comm hooks, engine hooks, and any
-    transport decorator in the stack that knows how to bind (the
-    reliability layer mirrors its counters into the registry)."""
-    endpoint.telemetry = tele
-    endpoint.engine.telemetry = tele
-    t = endpoint.transport
-    while t is not None:
-        bind = getattr(t, "bind_telemetry", None)
-        if bind is not None:
-            bind(tele)
-        t = getattr(t, "inner", None)
-    return tele
-
-
-def uninstall_from_endpoint(endpoint) -> None:
-    """Detach telemetry from an endpoint (hook sites revert to no-ops)."""
-    endpoint.telemetry = None
-    endpoint.engine.telemetry = None
-    t = endpoint.transport
-    while t is not None:
-        bind = getattr(t, "bind_telemetry", None)
-        if bind is not None:
-            bind(None)
-        t = getattr(t, "inner", None)

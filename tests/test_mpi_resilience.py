@@ -13,10 +13,11 @@ import time
 import pytest
 
 from repro.faults import CrashSpec, FaultPlan
-from repro.mpi import RankFailedError, run_on_threads
+from repro.mpi import Endpoint, RankFailedError, run_on_threads
 from repro.mpi.exceptions import ERR_PROC_FAILED
 from repro.mpi.fabric.stream import dial
 from repro.mpi.matching import Envelope, MatchingEngine
+from repro.mpi.observer import Observer
 from repro.mpi.resilience import FailureDetector, detector_from_env
 from repro.mpi.transport.base import (
     CTRL_GOODBYE, CTRL_HEARTBEAT, Transport, control_envelope,
@@ -127,22 +128,21 @@ class TestFailureDetectorUnit:
         assert 1 in detector._last_seen
 
     def test_verifier_hook_invoked(self):
-        class FakeEndpoint:
-            pass
-
-        class FakeVerifier:
-            calls = []
+        class FakeVerifier(Observer):
+            def __init__(self):
+                self.calls = []
 
             def on_rank_failed(self, rank, reason):
                 self.calls.append((rank, reason))
 
-        endpoint = FakeEndpoint()
-        endpoint.verifier = FakeVerifier()
-        transport = LoopbackTransport()
-        engine = MatchingEngine()
-        detector = FailureDetector(transport, engine, endpoint=endpoint)
+        endpoint = Endpoint(LoopbackTransport())
+        verifier = FakeVerifier()
+        endpoint.attach(verifier)
+        detector = FailureDetector(
+            endpoint.transport, endpoint.engine, endpoint=endpoint
+        )
         detector.on_peer_lost(1, "gone")
-        assert endpoint.verifier.calls == [(1, "gone")]
+        assert verifier.calls == [(1, "gone")]
 
     def test_env_knobs(self, monkeypatch):
         transport = LoopbackTransport()

@@ -122,7 +122,7 @@ class TestNativeComm:
         def work(rt):
             nat = NativeComm(rt)
             bc = Comm(rt)
-            n, iters = 8, 300
+            n, blocks, per_block = 8, 12, 25
             s = RegisteredBuffer(bytearray(n))
             r = RegisteredBuffer(bytearray(n))
             sb, rb = bytearray(n), bytearray(n)
@@ -147,16 +147,20 @@ class TestNativeComm:
             for _ in range(20):
                 pingpong_native()
                 pingpong_bindings()
-            rt.barrier()
-            t0 = time.perf_counter()
-            for _ in range(iters):
-                pingpong_native()
-            t_native = time.perf_counter() - t0
-            rt.barrier()
-            t0 = time.perf_counter()
-            for _ in range(iters):
-                pingpong_bindings()
-            t_bind = time.perf_counter() - t0
+
+            def timed(pingpong):
+                rt.barrier()
+                t0 = time.perf_counter()
+                for _ in range(per_block):
+                    pingpong()
+                return time.perf_counter() - t0
+
+            # Alternate short blocks of each side: a host speed change
+            # then lands on both sides alike, not between two long runs.
+            t_native = t_bind = 0.0
+            for _ in range(blocks):
+                t_native += timed(pingpong_native)
+                t_bind += timed(pingpong_bindings)
             return t_native, t_bind
 
         results = run_on_threads(2, work, timeout=120)

@@ -56,7 +56,7 @@ class TestEnvInstall:
         def fn(comm):
             tele = comm.endpoint.telemetry
             assert tele is not None
-            assert tele is comm.endpoint.engine.telemetry
+            assert comm.endpoint.observers == (tele,)
             return tele.rank
 
         assert run_on_threads(3, fn) == [0, 1, 2]
